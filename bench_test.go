@@ -460,3 +460,30 @@ func BenchmarkAblationDepthSlack(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompile64Allocs is the array-scale allocation gate: one cold
+// BICG compile on a 64x64 mesh with Workers 1 and a fresh artifact memo,
+// the case where the array-proportional stages (isdg-build, replicate,
+// validate) dominate. After timing it counts the allocations of one
+// compile with testing.AllocsPerRun and fails outright above
+// compile64AllocCeiling: the 352,146 allocations measured once replicate
+// and validate stopped allocating per stamped field, plus 5% headroom.
+const compile64AllocCeiling = 369000
+
+func BenchmarkCompile64Allocs(b *testing.B) {
+	k := kernel.BICG()
+	cg := arch.Default(64, 64)
+	run := func() {
+		if _, err := core.Compile(k, cg, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(2, run); allocs > compile64AllocCeiling {
+		b.Fatalf("64x64 compile regressed: %.0f allocs per compile, ceiling is %d", allocs, compile64AllocCeiling)
+	}
+}

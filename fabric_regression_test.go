@@ -1,6 +1,7 @@
 package himap_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -68,6 +69,44 @@ func TestDefaultFabricBitIdentical(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s: mapping fingerprint drifted\n got %s\nwant %s", k.Name, got, want)
+			}
+		})
+	}
+}
+
+// conventionalJSONFingerprints pins the SHA-256 of the saved
+// configuration JSON the conventional backend emits for the eight
+// evaluation kernels on a 4x4 mesh, block 2 per dimension, seed 7, one
+// annealing chain. Unlike conventionalFingerprints it covers the
+// provenance comments ("n<ID>") too, so the emitter's value tags must
+// render byte-identically, not just map to the same fields.
+var conventionalJSONFingerprints = map[string]string{
+	"ADI":  "503f680e8fa6682cdabceb79d8a592e78b714f98e72082ca4cd54de125b45b6a",
+	"ATAX": "79a96efbab287d60ef1f63309f1530cdee85c781d120b80f8ee6924e7766dfc5",
+	"BICG": "1e52325105ce4587e1de8e006481608eaf3a42d02ddfb97951d1ef9bd7e30755",
+	"MVT":  "59ab877fe0fca394749dfdf10d4d53e8fb9094079bd220c9a197d59b774fac39",
+	"GEMM": "2f9cf4e5e166b7e2937a62a50be3be1ce1dd026d449425b225aaeca0476155d4",
+	"SYRK": "5077862bdc38c1ea92d162e7b2190dad1eb934eeefc14309d2a969183a507be3",
+	"FW":   "d134a3d9aeab26d32810fe5302a4ffb98e5c3e8c0f290128891b754cdccbebdb",
+	"TTM":  "f2cc1d21f8bfbc8eb45676ba4c9e544560d15026c88298bd7f73e6b1fb5c72bc",
+}
+
+func TestConventionalJSONBitIdentical(t *testing.T) {
+	for _, k := range himap.EvaluationKernels() {
+		k := k
+		t.Run(k.Name, func(t *testing.T) {
+			r, err := compileBaseline(k, himap.DefaultCGRA(4, 4), k.UniformBlock(2),
+				himap.BaselineOptions{Seed: 7, Workers: 1})
+			if err != nil {
+				t.Fatalf("conventional %s: %v", k.Name, err)
+			}
+			var b bytes.Buffer
+			if err := himap.SaveConfig(r.Config, &b); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b.Bytes())
+			if got, want := hex.EncodeToString(sum[:]), conventionalJSONFingerprints[k.Name]; got != want {
+				t.Errorf("%s: configuration JSON drifted\n got %s\nwant %s", k.Name, got, want)
 			}
 		})
 	}

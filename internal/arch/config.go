@@ -99,15 +99,18 @@ func (cfg *Config) Validate() error {
 // generation walking the iteration space), so they do not distinguish
 // words.
 func (cfg *Config) UniqueInstrs(r, c int) int {
-	seen := map[string]bool{}
-	for t := 0; t < cfg.II; t++ {
-		in := cfg.Slots[r][c][t]
-		in.Comment = ""
-		in.MemRead.Tag = ""
-		in.MemWrite.Tag = ""
-		seen[instrKey(&in)] = true
+	slots := cfg.Slots[r][c]
+	n := 0
+	for t := range slots {
+		fresh := true
+		for u := 0; u < t && fresh; u++ {
+			fresh = !sameWord(&slots[u], &slots[t])
+		}
+		if fresh {
+			n++
+		}
 	}
-	return len(seen)
+	return n
 }
 
 // MaxUniqueInstrs returns the maximum per-PE unique instruction count of
@@ -122,11 +125,6 @@ func (cfg *Config) MaxUniqueInstrs() int {
 		}
 	}
 	return max
-}
-
-func instrKey(in *Instr) string {
-	s := in.String()
-	return s
 }
 
 // DataMemoryDemand returns the peak per-PE data-memory footprint of the

@@ -3,6 +3,7 @@ package arch
 import (
 	"fmt"
 	"himap/internal/diag"
+	"slices"
 	"strings"
 
 	"himap/internal/ir"
@@ -110,13 +111,44 @@ func (in *Instr) IsNop() bool {
 	return true
 }
 
-// readsOf counts distinct RF registers read by the instruction and
-// reports the per-port uses.
-func (in *Instr) regReads() map[int]bool {
-	reads := map[int]bool{}
+// regSet is an allocation-free set of register indices: a bitmask for
+// indices 0..63 plus a spill list for indices beyond it, which only an
+// exotic register file or a malformed instruction produces.
+type regSet struct {
+	bits uint64
+	wide []int
+}
+
+// add inserts r and reports whether it was absent.
+func (s *regSet) add(r int) bool {
+	if r >= 0 && r < 64 {
+		if s.bits&(1<<uint(r)) != 0 {
+			return false
+		}
+		s.bits |= 1 << uint(r)
+		return true
+	}
+	if slices.Contains(s.wide, r) {
+		return false
+	}
+	s.wide = append(s.wide, r)
+	return true
+}
+
+// regReads returns how many distinct RF registers the instruction reads
+// and the lowest read index outside [0, numRegs) (hasBad false when every
+// read is in range).
+func (in *Instr) regReads(numRegs int) (n, bad int, hasBad bool) {
+	var seen regSet
 	note := func(o Operand) {
-		if o.Kind == OpdReg {
-			reads[o.Reg] = true
+		if o.Kind != OpdReg {
+			return
+		}
+		if (o.Reg < 0 || o.Reg >= numRegs) && (!hasBad || o.Reg < bad) {
+			bad, hasBad = o.Reg, true
+		}
+		if seen.add(o.Reg) {
+			n++
 		}
 	}
 	note(in.SrcA)
@@ -130,33 +162,32 @@ func (in *Instr) regReads() map[int]bool {
 	if in.MemWrite.Active {
 		note(in.MemWrite.Src)
 	}
-	return reads
+	return n, bad, hasBad
 }
 
 // Validate checks the instruction against the architecture's port limits:
-// RF read/write ports, register indices, and single mem read/write.
+// RF read/write ports, register indices, and single mem read/write. The
+// checks run in a fixed order and report the lowest offending register
+// index, so the error text is a pure function of the instruction.
 func (in *Instr) Validate(c CGRA) error {
-	reads := in.regReads()
-	if len(reads) > c.RFReadPorts {
-		return fmt.Errorf("arch: instruction reads %d registers, %d read ports: %w", len(reads), c.RFReadPorts, diag.ErrConfigInvalid)
+	reads, bad, hasBad := in.regReads(c.NumRegs)
+	if reads > c.RFReadPorts {
+		return fmt.Errorf("arch: instruction reads %d registers, %d read ports: %w", reads, c.RFReadPorts, diag.ErrConfigInvalid)
 	}
-	for r := range reads {
-		if r < 0 || r >= c.NumRegs {
-			return fmt.Errorf("arch: register read index %d out of %d: %w", r, c.NumRegs, diag.ErrConfigInvalid)
-		}
+	if hasBad {
+		return fmt.Errorf("arch: register read index %d out of %d: %w", bad, c.NumRegs, diag.ErrConfigInvalid)
 	}
 	if len(in.RegWr) > c.RFWritePorts {
 		return fmt.Errorf("arch: instruction writes %d registers, %d write ports: %w", len(in.RegWr), c.RFWritePorts, diag.ErrConfigInvalid)
 	}
-	seenW := map[int]bool{}
+	var written regSet
 	for _, w := range in.RegWr {
 		if w.Reg < 0 || w.Reg >= c.NumRegs {
 			return fmt.Errorf("arch: register write index %d out of %d: %w", w.Reg, c.NumRegs, diag.ErrConfigInvalid)
 		}
-		if seenW[w.Reg] {
+		if !written.add(w.Reg) {
 			return fmt.Errorf("arch: register %d written twice in one cycle: %w", w.Reg, diag.ErrConfigInvalid)
 		}
-		seenW[w.Reg] = true
 		if w.Src.Kind == OpdNone || w.Src.Kind == OpdHold {
 			return fmt.Errorf("arch: register write from %v: %w", w.Src, diag.ErrConfigInvalid)
 		}
@@ -203,6 +234,67 @@ func (in *Instr) Validate(c CGRA) error {
 		return fmt.Errorf("arch: mem operand used but no memory read configured: %w", diag.ErrConfigInvalid)
 	}
 	return nil
+}
+
+// word is the comparable configuration content of an instruction apart
+// from its register writes: what String renders, minus the provenance
+// comment and the memory correlation tags. Operand payloads the rendering
+// ignores (fields of other operand kinds, the sources of a nop, the
+// source of an inactive store) are zeroed so they cannot split words.
+type word struct {
+	op                ir.OpKind
+	srcA, srcB        Operand
+	out               [MaxDirs]Operand
+	memRead, memWrite bool
+	memSrc            Operand
+}
+
+// opdUnknown is the canonical form of every out-of-range operand kind
+// (String renders them all as "?").
+const opdUnknown OperandKind = 255
+
+// canon keeps only the operand fields its kind selects.
+func (o Operand) canon() Operand {
+	switch o.Kind {
+	case OpdNone, OpdALU, OpdMem, OpdHold:
+		return Operand{Kind: o.Kind}
+	case OpdIn:
+		return Operand{Kind: OpdIn, Dir: o.Dir}
+	case OpdReg:
+		return Operand{Kind: OpdReg, Reg: o.Reg}
+	case OpdConst:
+		return Operand{Kind: OpdConst, Const: o.Const}
+	}
+	return Operand{Kind: opdUnknown}
+}
+
+func (in *Instr) word() word {
+	w := word{op: in.Op, memRead: in.MemRead.Active, memWrite: in.MemWrite.Active}
+	if in.Op != ir.OpNop {
+		w.srcA, w.srcB = in.SrcA.canon(), in.SrcB.canon()
+	}
+	for d, o := range in.OutSel {
+		w.out[d] = o.canon()
+	}
+	if in.MemWrite.Active {
+		w.memSrc = in.MemWrite.Src.canon()
+	}
+	return w
+}
+
+// sameWord reports whether two instructions occupy the same
+// configuration-memory word: equal packed words and the same register
+// writes in the same order.
+func sameWord(a, b *Instr) bool {
+	if len(a.RegWr) != len(b.RegWr) || a.word() != b.word() {
+		return false
+	}
+	for i, w := range a.RegWr {
+		if w.Reg != b.RegWr[i].Reg || w.Src.canon() != b.RegWr[i].Src.canon() {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the instruction on one line.

@@ -47,10 +47,12 @@ type Options struct {
 	RelayPolicy RelayPolicy
 	// Workers bounds the compilation pipeline's parallelism: the systolic
 	// (H,S) scheme search is sharded across Workers goroutines, and
-	// (sub-mapping, scheme) attempts run speculatively in waves of
-	// Workers, always committing to the first attempt (in the sequential
-	// ranking order) that succeeds. The emitted mapping is therefore
-	// bit-identical for every Workers value; only wall-clock changes.
+	// (sub-mapping, scheme) attempts run speculatively through route in
+	// waves of Workers. Replicate and validate then run only for the
+	// routed attempt being committed: the first (in the sequential
+	// ranking order) that succeeds, falling through to the next routed
+	// attempt on failure. The emitted mapping is therefore bit-identical
+	// for every Workers value; only wall-clock changes.
 	// 0 means runtime.GOMAXPROCS(0); 1 executes exactly the historical
 	// sequential flow.
 	Workers int
@@ -194,11 +196,14 @@ type Stats struct {
 // in increasing cost until routing and replication succeed.
 //
 // The flow is a staged pass pipeline (see pipeline.go): the front stages
-// run once, then (sub-mapping, scheme) attempts execute the per-attempt
-// stages speculatively in waves of Workers, always committing to the
-// first success in sequential ranking order. On failure Compile returns a
-// *CompileError aggregating the lowest-ranked attempt's failure and the
-// best-ranked failure per stage — deterministic for every Workers value.
+// run once, then (sub-mapping, scheme) attempts run the stages up to
+// route speculatively in waves of Workers; replicate and validate run in
+// ranking order on the wave's routed attempts only until one succeeds,
+// so only the committed attempt (and any routed attempt ranked before it
+// that fails them) pays for the array-sized stages. On failure Compile
+// returns a *CompileError aggregating the lowest-ranked attempt's failure
+// and the best-ranked failure per stage — deterministic for every Workers
+// value.
 func Compile(k *kernel.Kernel, cg arch.CGRA, opts Options) (*Result, error) {
 	return CompileRequest(context.Background(), k, arch.Fabric{CGRA: cg}, opts)
 }
@@ -211,11 +216,13 @@ func CompileFabric(k *kernel.Kernel, fab arch.Fabric, opts Options) (*Result, er
 }
 
 // CompileRequest is the context-aware compilation entry point: Compile
-// and CompileFabric are the context.Background() special cases. The
-// context is checked at every pipeline stage boundary and between
-// speculative waves, so cancellation (or a deadline) aborts a compile
-// mid-pipeline with a *CompileError wrapping diag.ErrCanceled — the
-// original context error stays in the cause chain for errors.Is.
+// and CompileFabric are the context.Background() special cases. Attempts
+// run speculatively through route in waves of opts.Workers; replicate
+// and validate run only for the routed attempt being committed (see
+// Compile). The context is checked at every pipeline stage boundary and
+// between speculative waves, so cancellation (or a deadline) aborts a
+// compile mid-pipeline with a *CompileError wrapping diag.ErrCanceled —
+// the original context error stays in the cause chain for errors.Is.
 func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -235,10 +242,13 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts
 	}
 	atts := front.Attempts
 
-	// Attempts run speculatively in waves of Workers; within a wave the
-	// lowest-index success wins. Because every attempt ranked before the
-	// winner fails regardless of execution order, the committed mapping
-	// and Stats.Attempts are identical to the sequential (Workers=1) flow.
+	// Attempts run speculatively in waves of Workers, but only through
+	// route. The finish stages then run in rank order on the lowest-index
+	// routed attempt of the wave, falling through to the next routed one
+	// if it fails. Every attempt ranked before the winner fails whatever
+	// the execution order, so the committed mapping, Stats.Attempts and
+	// the recorded per-attempt errors are identical to the sequential
+	// (Workers=1) flow.
 	errs := make([]error, len(atts))
 	for base := 0; base < len(atts); base += opts.Workers {
 		if err := ctx.Err(); err != nil {
@@ -250,20 +260,24 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts
 		}
 		wave := atts[base:end]
 		waveIdx := base/opts.Workers + 1
-		results := make([]*Result, len(wave))
+		routed := make([]*CompileContext, len(wave))
 		par.ForEach(opts.Workers, len(wave), func(i int) {
 			actx := front.forAttempt(wave[i], base+i+1, waveIdx)
-			if err := attemptStages.Run(actx); err != nil {
+			if err := routeStages.Run(actx); err != nil {
 				errs[base+i] = err
 				return
 			}
-			results[i] = actx.buildResult()
+			routed[i] = actx
 		})
-		for i := range wave {
-			if results[i] == nil {
+		for i, actx := range routed {
+			if actx == nil {
 				continue
 			}
-			res := results[i]
+			if err := finishStages.Run(actx); err != nil {
+				errs[base+i] = err
+				continue
+			}
+			res := actx.buildResult()
 			res.Stats.MapTime = front.wall[StageIDFGMap] + front.wall[StageSchemeSearch]
 			res.Stats.Attempts = base + i + 1
 			res.Stats.Total = time.Since(start)

@@ -12,9 +12,10 @@ import (
 )
 
 // Stage names of the HiMap compilation pipeline, in execution order. The
-// first two are front stages (run once per compile); the rest form the
-// per-attempt pipeline executed speculatively for each (sub-mapping,
-// scheme) candidate.
+// first two are front stages (run once per compile); block-derive through
+// route form the per-attempt prefix executed speculatively for each
+// (sub-mapping, scheme) candidate; replicate and validate finish only the
+// routed attempt being committed.
 const (
 	StageIDFGMap      = "idfg-map"      // kernel → generic IDFG → sub-CGRA mappings
 	StageSchemeSearch = "scheme-search" // systolic (H,S) candidates → ranked attempt list
@@ -186,14 +187,22 @@ var frontStages = Pipeline{
 	{Name: StageSchemeSearch, Fallback: diag.ErrSchemeInfeasible, Run: runSchemeSearch},
 }
 
-// attemptStages execute Algorithm 1's steps 2 and 3 for one candidate.
-var attemptStages = Pipeline{
+// routeStages execute Algorithm 1's step 2 and the canonical routing of
+// step 3 for one candidate. Their cost tracks the unique iterations, so
+// speculative attempts run them in parallel.
+var routeStages = Pipeline{
 	{Name: StageBlockDerive, Fallback: diag.ErrSchemeInfeasible, Run: runBlockDerive},
 	{Name: StageISDGBuild, Fallback: diag.ErrSchemeInfeasible, Run: runISDGBuild},
 	{Name: StageForward, Fallback: diag.ErrSchemeInfeasible, Run: runForward},
 	{Name: StagePlace, Fallback: diag.ErrPlacementInfeasible, Run: runPlace},
 	{Name: StageUnique, Fallback: diag.ErrPlacementInfeasible, Run: runUnique},
 	{Name: StageRoute, Fallback: diag.ErrRouteCongested, Run: runRoute},
+}
+
+// finishStages stamp a routed attempt onto the whole array and validate
+// it. Their cost tracks the array size, so they run only for the routed
+// attempt about to be committed.
+var finishStages = Pipeline{
 	{Name: StageReplicate, Fallback: diag.ErrReplicaConflict, Run: runReplicate},
 	{Name: StageValidate, Fallback: diag.ErrConfigInvalid, Run: runValidate},
 }

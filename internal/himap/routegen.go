@@ -491,11 +491,9 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 	d := l.g.DFG
 	rep := l.g.Clusters[cl.Rep]
 	rMin, rMax, cMin, cMax := l.classEnvelope(cl)
-	inEnv := func(n mrrg.Node) bool {
-		return n.R >= rMin && n.R <= rMax && n.C >= cMin && n.C <= cMax
-	}
-	ses.Filter = inEnv
-	defer func() { ses.Filter = nil }()
+	env := &route.Rect{R0: rMin, R1: rMax, C0: cMin, C1: cMax}
+	ses.Envelope = env
+	defer func() { ses.Envelope = nil }()
 
 	// Choose memory slots for boundary loads first (they act as sources).
 	for _, id := range rep.Nodes {
@@ -517,7 +515,7 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 	// — routing errors are sequentially earlier, so they win; either way
 	// the session carries exactly the occupancy the historical
 	// interleaved loop left behind.
-	pend, buildErr := l.buildClassNets(ses, g, cl, inEnv)
+	pend, buildErr := l.buildClassNets(ses, g, cl, env)
 	if err := l.routePending(ses, pend); err != nil {
 		return nil, err
 	}
@@ -559,25 +557,25 @@ type pendingNet struct {
 // in canonical order. On a construction error it returns the nets built
 // so far — including the partially-built failing net, whose earlier
 // sinks the historical loop had already routed — alongside the error.
-func (l *layout) buildClassNets(ses *route.Session, g *mrrg.Graph, cl *UniqueClass, inEnv func(mrrg.Node) bool) ([]pendingNet, error) {
-	pend, err := l.buildClassNetsInto(l.pendBuf[:0], ses, g, cl, inEnv)
+func (l *layout) buildClassNets(ses *route.Session, g *mrrg.Graph, cl *UniqueClass, env *route.Rect) ([]pendingNet, error) {
+	pend, err := l.buildClassNetsInto(l.pendBuf[:0], ses, g, cl, env)
 	l.pendBuf = pend // keep the grown backing array for the next class
 	return pend, err
 }
 
 // filterTgtArena drops the out-of-envelope nodes of the target arena's
 // tail [t0:] in place.
-func (l *layout) filterTgtArena(t0 int, inEnv func(mrrg.Node) bool) {
+func (l *layout) filterTgtArena(t0 int, env *route.Rect) {
 	out := l.tgtBuf[:t0]
 	for _, n := range l.tgtBuf[t0:] {
-		if inEnv(n) {
+		if env.Contains(n.R, n.C) {
 			out = append(out, n)
 		}
 	}
 	l.tgtBuf = out
 }
 
-func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mrrg.Graph, cl *UniqueClass, inEnv func(mrrg.Node) bool) ([]pendingNet, error) {
+func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mrrg.Graph, cl *UniqueClass, env *route.Rect) ([]pendingNet, error) {
 	d := l.g.DFG
 	rep := l.g.Clusters[cl.Rep]
 	l.sinkBuf = l.sinkBuf[:0]
@@ -631,7 +629,7 @@ func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mr
 					break
 				}
 				l.tgtBuf = g.AppendOperandTargets(l.tgtBuf, abs.T, abs.R, abs.C)
-				l.filterTgtArena(t0, inEnv)
+				l.filterTgtArena(t0, env)
 			case to.Kind == ir.OpRoute:
 				pin, ok := l.pinAbs(e.To)
 				if !ok {
@@ -641,7 +639,7 @@ func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mr
 				l.tgtBuf = append(l.tgtBuf, pin)
 			case to.Kind == ir.OpStore:
 				l.tgtBuf = l.appendStoreTargets(l.tgtBuf, g, e.To, src.T)
-				l.filterTgtArena(t0, inEnv)
+				l.filterTgtArena(t0, env)
 				if len(l.tgtBuf) == t0 && l.cg.Mem != arch.MemAll {
 					err = diag.Failf(diag.ErrMemPortInfeasible,
 						"himap: no memory-write port reachable for store %s within its region on the %s fabric", to.Name, l.cg)
@@ -900,7 +898,7 @@ func (l *layout) replicate(plans [][]canonNet) (*arch.Config, error) {
 
 	// Stamp operation placements for every cluster.
 	for _, n := range d.Nodes {
-		tag := fmt.Sprintf("n%d", n.ID)
+		tag := route.ValueTag(n.ID)
 		switch {
 		case n.Kind.IsCompute():
 			abs, _ := l.nodeAbs(n.ID)
@@ -908,7 +906,7 @@ func (l *layout) replicate(plans [][]canonNet) (*arch.Config, error) {
 				return nil, err
 			}
 			if n.HasConst {
-				if err := em.SetConstOperand(abs, n.Const, tag+":const"); err != nil {
+				if err := em.SetConstOperand(abs, n.Const, route.OperandTag(n.ID)); err != nil {
 					return nil, err
 				}
 			}
@@ -920,7 +918,7 @@ func (l *layout) replicate(plans [][]canonNet) (*arch.Config, error) {
 					return nil, fmt.Errorf("himap: load %v unplaced at replication: %w", n, diag.ErrPlacementInfeasible)
 				}
 			}
-			elem := fmt.Sprintf("%s@%s", n.Tensor, n.Index.Key())
+			elem := ir.ElemTag(n.Tensor, n.Index)
 			if err := em.PlaceLoad(abs, tag, elem); err != nil {
 				return nil, err
 			}
@@ -934,38 +932,40 @@ func (l *layout) replicate(plans [][]canonNet) (*arch.Config, error) {
 		}
 	}
 
-	// Stamp canonical routes, translated to every member.
+	// Stamp canonical routes, translated to every member. Each (member,
+	// canonical net) stamping is one routed tree for the emitter; the
+	// translated path buffer is reused (the emitter keeps no reference).
+	var shifted route.Path
 	for classIdx, cl := range l.classes {
-		rep := l.g.Clusters[cl.Rep]
 		for _, m := range cl.Members {
 			mc := l.g.Clusters[m]
 			dt := (l.cp.T[m] - l.cp.T[cl.Rep]) * l.sub.Depth
 			dr := (l.cp.X[m] - l.cp.X[cl.Rep]) * l.sub.S1
 			dc := (l.cp.Y[m] - l.cp.Y[cl.Rep]) * l.sub.S2
-			dIter := mc.Iter.Sub(rep.Iter)
 			for _, cn := range plans[classIdx] {
-				srcID, ok := l.ix.Find(cn.SrcBody, rep.Iter.Add(dIter).Add(cn.SrcDIter))
+				srcID, ok := l.ix.Find(cn.SrcBody, mc.Iter, cn.SrcDIter)
 				if !ok {
 					return nil, fmt.Errorf("himap: replication cannot find source (body %d) for member %v: %w", cn.SrcBody, mc.Iter, diag.ErrReplicaConflict)
 				}
-				tag := fmt.Sprintf("n%d", srcID)
+				tag := route.ValueTag(srcID)
+				em.BeginNet()
 				for _, sink := range cn.Sinks {
-					shifted := make(route.Path, len(sink.Path))
-					for i, pn := range sink.Path {
+					shifted = shifted[:0]
+					for _, pn := range sink.Path {
 						sn := pn.Shifted(dt, dr, dc)
 						// On a torus the translate of an edge-crossing path
 						// re-enters the array; fold it onto the real PEs.
 						sn.R, sn.C = l.cg.WrapCoord(sn.R, sn.C)
-						shifted[i] = sn
+						shifted = append(shifted, sn)
 					}
-					consID, ok := l.ix.Find(sink.ConsumerBody, rep.Iter.Add(dIter).Add(sink.ConsumerDIter))
+					consID, ok := l.ix.Find(sink.ConsumerBody, mc.Iter, sink.ConsumerDIter)
 					if !ok {
 						return nil, fmt.Errorf("himap: replication cannot find consumer (body %d) for member %v: %w", sink.ConsumerBody, mc.Iter, diag.ErrReplicaConflict)
 					}
 					storeElem := ""
 					if sink.Kind == ir.OpStore {
 						sn := d.Nodes[consID]
-						storeElem = fmt.Sprintf("%s@%s", sn.Tensor, sn.Index.Key())
+						storeElem = ir.ElemTag(sn.Tensor, sn.Index)
 						last := shifted[len(shifted)-1]
 						cfg.Stores = append(cfg.Stores, arch.IOSpec{
 							R: last.R, C: last.C,

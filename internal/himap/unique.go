@@ -234,20 +234,29 @@ func buildNodeIndex(g *ir.ISDG) *nodeIndex {
 		at:    make(map[int64]int, len(g.DFG.Nodes)),
 	}
 	for _, n := range g.DFG.Nodes {
-		ix.at[ix.key(n.BodyOp, n.Iter)] = n.ID
+		ix.at[ix.key(n.BodyOp, ir.PointIndex(n.Iter, ix.block))] = n.ID
 	}
 	return ix
 }
 
-func (ix *nodeIndex) key(bodyOp int, iter ir.IterVec) int64 {
-	return int64(bodyOp+bodyOpBias)<<32 | int64(ir.PointIndex(iter, ix.block))
+func (ix *nodeIndex) key(bodyOp, point int) int64 {
+	return int64(bodyOp+bodyOpBias)<<32 | int64(point)
 }
 
-// Find returns the node with the given body op at the given iteration.
-func (ix *nodeIndex) Find(bodyOp int, iter ir.IterVec) (int, bool) {
-	if !iter.InBox(ix.block) {
+// Find returns the node with the given body op at iteration iter+off,
+// without materializing the translated iteration vector.
+func (ix *nodeIndex) Find(bodyOp int, iter, off ir.IterVec) (int, bool) {
+	if len(iter) != len(ix.block) || len(off) != len(ix.block) {
 		return 0, false
 	}
-	id, ok := ix.at[ix.key(bodyOp, iter)]
+	point := 0
+	for i, b := range ix.block {
+		x := iter[i] + off[i]
+		if x < 0 || x >= b {
+			return 0, false
+		}
+		point = point*b + x
+	}
+	id, ok := ix.at[ix.key(bodyOp, point)]
 	return id, ok
 }

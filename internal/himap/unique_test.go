@@ -96,13 +96,20 @@ func TestUniqueCountSaturatesWithBlock(t *testing.T) {
 func TestNodeIndexFindsEveryNode(t *testing.T) {
 	g, _ := placeBICG(t, 4)
 	ix := buildNodeIndex(g)
+	zero := make(ir.IterVec, len(g.DFG.Block))
 	for _, n := range g.DFG.Nodes {
-		id, ok := ix.Find(n.BodyOp, n.Iter)
-		if !ok || id != n.ID {
-			t.Fatalf("Find(%d, %v) = %d,%v; want %d", n.BodyOp, n.Iter, id, ok, n.ID)
+		// Any split of the iteration into base + offset finds the node.
+		for _, at := range [][2]ir.IterVec{{n.Iter, zero}, {zero, n.Iter}} {
+			id, ok := ix.Find(n.BodyOp, at[0], at[1])
+			if !ok || id != n.ID {
+				t.Fatalf("Find(%d, %v, %v) = %d,%v; want %d", n.BodyOp, at[0], at[1], id, ok, n.ID)
+			}
+		}
+		if _, ok := ix.Find(n.BodyOp, n.Iter, ir.IterVec{g.DFG.Block[0], 0}); ok {
+			t.Fatalf("Find(%d, %v + block row) should miss: outside the block", n.BodyOp, n.Iter)
 		}
 	}
-	if _, ok := ix.Find(9999, ir.IterVec{0, 0}); ok {
+	if _, ok := ix.Find(9999, zero, zero); ok {
 		t.Error("Find should miss for unknown body op")
 	}
 }

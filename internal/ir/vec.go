@@ -147,6 +147,21 @@ func (v IterVec) Key() string {
 	return b.String()
 }
 
+// ElemTag renders the memory correlation tag of one tensor element,
+// "tensor@i0,i1,...", with a single allocation.
+func ElemTag(tensor string, index IterVec) string {
+	var buf [64]byte
+	b := append(buf[:0], tensor...)
+	b = append(b, '@')
+	for i, x := range index {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return string(b)
+}
+
 // String renders v as "(i0,i1,...)".
 func (v IterVec) String() string { return "(" + v.Key() + ")" }
 

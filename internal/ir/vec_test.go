@@ -90,6 +90,17 @@ func TestIterVecKeyRoundTripUnique(t *testing.T) {
 	}
 }
 
+func TestElemTagMatchesKey(t *testing.T) {
+	long := "T" + string(make([]byte, 80)) // overflows the stack buffer
+	for _, tensor := range []string{"A", "out", long} {
+		for _, v := range []IterVec{{}, {0}, {3, -12}, {1, 22, 333, 4444}} {
+			if got, want := ElemTag(tensor, v), tensor+"@"+v.Key(); got != want {
+				t.Errorf("ElemTag(%q, %v) = %q, want %q", tensor, v, got, want)
+			}
+		}
+	}
+}
+
 func TestForEachPointOrderAndCount(t *testing.T) {
 	var pts []IterVec
 	ForEachPoint([]int{2, 3}, func(v IterVec) { pts = append(pts, v.Clone()) })

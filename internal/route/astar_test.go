@@ -21,11 +21,14 @@ func (r *lcg) next(n int) int {
 // test: on mesh and torus fabrics, under randomized occupancy and
 // history costs, the A*+bucket-queue search must return exactly the
 // path, cost, and error the legacy global-heap Dijkstra returns — the
-// bit-identity contract exercised far beyond the kernel corpus.
+// bit-identity contract exercised far beyond the kernel corpus. Every
+// other trial confines both searches to a random Envelope; on the 16x16
+// mesh the A* scratch window is also clipped to the targets' reach,
+// while the legacy core always indexes the whole envelope.
 func TestSearchEquivalenceRandomizedCongestion(t *testing.T) {
 	rng := lcg(0x9e3779b97f4a7c15)
 	for _, topo := range []arch.Topology{arch.TopoMesh, arch.TopoTorus} {
-		for _, sz := range [][2]int{{3, 3}, {4, 6}, {8, 8}} {
+		for _, sz := range [][2]int{{3, 3}, {4, 6}, {8, 8}, {16, 16}} {
 			f := arch.Fabric{CGRA: arch.Default(sz[0], sz[1]), Topology: topo}
 			const ii = 8
 			g := mrrg.New(f, ii)
@@ -55,6 +58,14 @@ func TestSearchEquivalenceRandomizedCongestion(t *testing.T) {
 					new_.hist[k] += new_.HistBump
 				}
 				src := fu(rng.next(ii), rng.next(f.Rows), rng.next(f.Cols))
+				var env *Rect
+				if trial%2 == 1 { // a random envelope around the source
+					env = &Rect{
+						R0: rng.next(src.R + 1), R1: src.R + rng.next(f.Rows-src.R),
+						C0: rng.next(src.C + 1), C1: src.C + rng.next(f.Cols-src.C),
+					}
+				}
+				old.Envelope, new_.Envelope = env, env
 				old.Reserve(src)
 				new_.Reserve(src)
 				oldNet := old.NewNet(src)
@@ -121,16 +132,16 @@ func TestTorusHeuristicNeverOverestimates(t *testing.T) {
 					maxT = tg.T
 				}
 			}
-			span := maxT - tBase + 1
+			w := window{tBase: tBase, maxT: maxT, rows: f.Rows, cols: f.Cols, slots: g.SlotsPerPE()}
 			var sc Scratch
-			sc.begin(span*f.NumPEs()*g.SlotsPerPE(), span*f.NumPEs())
+			sc.begin(w.numPEs()*w.slots, w.numPEs())
 			// Suffix costs along the optimal path are exact costs-to-go.
 			for i := 0; i < len(path); i++ {
 				togo := 0.0
 				for j := i + 1; j < len(path); j++ {
 					togo += ref.enterCost(path[j])
 				}
-				h := s.heuristicAt(&sc, path[i], targets, tBase, f.NumPEs(), f.Cols)
+				h := s.heuristicAt(&sc, path[i], w.pe(path[i]), targets)
 				if h < 0 {
 					t.Fatalf("%v trial %d: heuristic pruned path node %v with cost-to-go %v",
 						sz, trial, path[i], togo)

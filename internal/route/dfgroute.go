@@ -28,8 +28,9 @@ type Placement struct {
 // with an error wrapping diag.ErrCanceled within one round's latency.
 //
 // The routed net order (topological producer order, sinks in out-edge
-// order) and the emitted tags ("n<id>") are part of the deterministic
-// output contract: callers' mapping fingerprints depend on them.
+// order) and the emitted tags (ValueTag of each node ID, rendered "n<id>"
+// in provenance comments) are part of the deterministic output contract:
+// callers' mapping fingerprints depend on them.
 func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Placement, rounds int) (*arch.Config, error) {
 	g := mrrg.New(cg, ii)
 	placeNode := func(id int) mrrg.Node {
@@ -106,7 +107,7 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 	em := NewEmitter(cfg)
 	for _, id := range order {
 		n := d.Nodes[id]
-		tag := fmt.Sprintf("n%d", id)
+		tag := ValueTag(id)
 		pn := placeNode(id)
 		switch {
 		case n.Kind.IsCompute():
@@ -114,7 +115,7 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 				return nil, err
 			}
 			if n.HasConst {
-				if err := em.SetConstOperand(pn, n.Const, tag+":const"); err != nil {
+				if err := em.SetConstOperand(pn, n.Const, OperandTag(id)); err != nil {
 					return nil, err
 				}
 			}
@@ -124,7 +125,7 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 			if err := em.PlaceOp(pn, ir.OpAdd, tag); err != nil {
 				return nil, err
 			}
-			if err := em.SetConstOperand(pn, 0, tag+":mov"); err != nil {
+			if err := em.SetConstOperand(pn, 0, OperandTag(id)); err != nil {
 				return nil, err
 			}
 		case n.Kind == ir.OpLoad:
@@ -144,14 +145,15 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 		if net == nil {
 			continue
 		}
-		tag := fmt.Sprintf("n%d", id)
+		tag := ValueTag(id)
+		em.BeginNet()
 		outs := d.OutEdges(id)
 		for i, path := range net.Paths {
 			e := d.Edges[outs[i]]
 			to := d.Nodes[e.To]
 			storeElem := ""
 			if to.Kind == ir.OpStore {
-				storeElem = fmt.Sprintf("%s@%s", to.Tensor, to.Index.Key())
+				storeElem = ir.ElemTag(to.Tensor, to.Index)
 				last := path[len(path)-1]
 				cfg.Stores = append(cfg.Stores, arch.IOSpec{
 					R: last.R, C: last.C,

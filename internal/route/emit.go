@@ -3,11 +3,35 @@ package route
 import (
 	"fmt"
 	"himap/internal/diag"
+	"strconv"
 
 	"himap/internal/arch"
 	"himap/internal/ir"
 	"himap/internal/mrrg"
 )
+
+// Tag identifies the value a stamped field carries. Tags derive from DFG
+// node IDs: ValueTag(id) is node id's result, OperandTag(id) its
+// immediate operand (a constant, or the #0 of a move). Conflict checks
+// compare tags as integers; names are rendered only for provenance
+// comments and conflict messages.
+type Tag int32
+
+// ValueTag is the tag of the value DFG node id produces.
+func ValueTag(id int) Tag { return Tag(id) << 1 }
+
+// OperandTag is the tag of DFG node id's immediate operand.
+func OperandTag(id int) Tag { return Tag(id)<<1 | 1 }
+
+// String renders the tag as "n<ID>" or "n<ID>:const".
+func (t Tag) String() string {
+	var buf [24]byte
+	b := strconv.AppendInt(append(buf[:0], 'n'), int64(t>>1), 10)
+	if t&1 != 0 {
+		b = append(b, ":const"...)
+	}
+	return string(b)
+}
 
 // Emitter lowers placements and routed paths into a CGRA configuration,
 // detecting resource conflicts as it stamps fields. Every stamped field
@@ -16,42 +40,44 @@ import (
 // idempotent — which is exactly what HiMap's REPLICATE step relies on —
 // while differing tags or contents are conflicts.
 type Emitter struct {
-	Cfg   *arch.Config
-	owner map[uint64]int32
-	// Interned value tags: conflict checks compare small integers; the
-	// strings are kept only for error messages.
-	tagIDs map[string]int32
-	tags   []string
-	// pred remembers, per net tag, which node fed each emitted path node.
-	// Fanout paths of a net may start anywhere in the already-routed tree;
-	// the predecessor context (e.g. which register feeds an RF read) comes
-	// from here.
-	pred map[predID]mrrg.Node
+	Cfg *arch.Config
+	// owner[resKey] is the claiming tag + 1; 0 marks a free resource.
+	owner []int32
+	// pred remembers which node fed each emitted path node of the current
+	// net (see BeginNet). Fanout paths of a net may start anywhere in the
+	// net's already-routed tree; the predecessor context (e.g. which
+	// register feeds an RF read) comes from here.
+	pred []predEntry
 }
 
-type predID struct {
-	tag int32
-	key uint64
+type predEntry struct {
+	key  uint64
+	node mrrg.Node
 }
 
 // NewEmitter wraps a configuration for conflict-checked emission.
 func NewEmitter(cfg *arch.Config) *Emitter {
-	return &Emitter{
-		Cfg:    cfg,
-		owner:  map[uint64]int32{},
-		tagIDs: map[string]int32{},
-		pred:   map[predID]mrrg.Node{},
-	}
+	a := cfg.Fabric
+	// Register files wider than the 16 registers the kind layout reserves
+	// spill past resKinds; size the claims to cover them.
+	kinds := max(resKinds, resRegW+a.NumRegs)
+	return &Emitter{Cfg: cfg, owner: make([]int32, kinds*a.Rows*a.Cols*cfg.II)}
 }
 
-func (e *Emitter) tagID(tag string) int32 {
-	id, ok := e.tagIDs[tag]
-	if !ok {
-		id = int32(len(e.tags))
-		e.tagIDs[tag] = id
-		e.tags = append(e.tags, tag)
+// BeginNet starts the emission of one net: the paths emitted until the
+// next BeginNet form one routed tree, and only they are searched for the
+// predecessors of a fanout path's first node.
+func (e *Emitter) BeginNet() { e.pred = e.pred[:0] }
+
+// predOf returns the node that fed key on the current net's tree; the
+// latest record wins.
+func (e *Emitter) predOf(key uint64) (mrrg.Node, bool) {
+	for i := len(e.pred) - 1; i >= 0; i-- {
+		if e.pred[i].key == key {
+			return e.pred[i].node, true
+		}
 	}
-	return id
+	return mrrg.Node{}, false
 }
 
 // Claim-key resource kinds (packed with position and wrapped time).
@@ -67,19 +93,18 @@ const (
 	resKinds = resRegW + 16
 )
 
-func (e *Emitter) resKey(kind, r, c, t int) uint64 {
+func (e *Emitter) resKey(kind, r, c, t int) int {
 	a := e.Cfg.Fabric
-	return ((uint64(kind)*uint64(a.Rows)+uint64(r))*uint64(a.Cols)+uint64(c))*uint64(e.Cfg.II) + uint64(e.wrapT(t))
+	return ((kind*a.Rows+r)*a.Cols+c)*e.Cfg.II + e.wrapT(t)
 }
 
-func (e *Emitter) claimRes(kind, r, c, t int, tag string) error {
+func (e *Emitter) claimRes(kind, r, c, t int, tag Tag) error {
 	key := e.resKey(kind, r, c, t)
-	id := e.tagID(tag)
-	if old, ok := e.owner[key]; ok && old != id {
+	if old := e.owner[key]; old != 0 && Tag(old-1) != tag {
 		return fmt.Errorf("route: resource kind %d @(%d,%d)t%d claimed by %q and %q: %w",
-			kind, r, c, e.wrapT(t), e.tags[old], tag, diag.ErrReplicaConflict)
+			kind, r, c, e.wrapT(t), Tag(old-1), tag, diag.ErrReplicaConflict)
 	}
-	e.owner[key] = id
+	e.owner[key] = int32(tag) + 1
 	return nil
 }
 
@@ -90,7 +115,7 @@ func (e *Emitter) wrapT(t int) int { return ((t % e.Cfg.II) + e.Cfg.II) % e.Cfg.
 func (e *Emitter) slot(n mrrg.Node) *arch.Instr { return e.Cfg.At(n.R, n.C, n.T) }
 
 // PlaceOp stamps a compute operation on an FU slot.
-func (e *Emitter) PlaceOp(n mrrg.Node, kind ir.OpKind, tag string) error {
+func (e *Emitter) PlaceOp(n mrrg.Node, kind ir.OpKind, tag Tag) error {
 	if n.Class != mrrg.ClassFU {
 		return fmt.Errorf("route: PlaceOp on %v: %w", n, diag.ErrConfigInvalid)
 	}
@@ -100,13 +125,13 @@ func (e *Emitter) PlaceOp(n mrrg.Node, kind ir.OpKind, tag string) error {
 	in := e.slot(n)
 	in.Op = kind
 	if in.Comment == "" {
-		in.Comment = tag
+		in.Comment = tag.String()
 	}
 	return nil
 }
 
 // PlaceLoad stamps a data-memory read on a memory port slot.
-func (e *Emitter) PlaceLoad(n mrrg.Node, tag, elem string) error {
+func (e *Emitter) PlaceLoad(n mrrg.Node, tag Tag, elem string) error {
 	if n.Class != mrrg.ClassMemRead {
 		return fmt.Errorf("route: PlaceLoad on %v: %w", n, diag.ErrConfigInvalid)
 	}
@@ -153,25 +178,24 @@ func operandFrom(cur, prev mrrg.Node, atR, atC, atT int) (arch.Operand, error) {
 	return arch.Operand{}, fmt.Errorf("route: no operand form for %v: %w", cur, diag.ErrConfigInvalid)
 }
 
-// EmitPath stamps all routing fields of one path. tag identifies the
-// carried value; storeElem is used when the path terminates at a memory
-// write port.
-func (e *Emitter) EmitPath(p Path, tag, storeElem string) error {
-	tid := e.tagID(tag)
+// EmitPath stamps all routing fields of one path of the current net (see
+// BeginNet). tag identifies the carried value; storeElem is used when the
+// path terminates at a memory write port.
+func (e *Emitter) EmitPath(p Path, tag Tag, storeElem string) error {
 	nodeAt := func(i int) mrrg.Node {
 		if i >= 0 {
 			return p[i]
 		}
 		// Before the path start: the net node that fed p[0] on an earlier
 		// path of the same net.
-		if pr, ok := e.pred[predID{tid, mrrg.RealKey(p[0])}]; ok {
+		if pr, ok := e.predOf(mrrg.RealKey(p[0])); ok {
 			return pr
 		}
 		return mrrg.Node{Class: mrrg.ClassFU, R: -1, C: -1}
 	}
 	prevOf := func(i int) mrrg.Node { return nodeAt(i - 1) }
 	for i := 1; i < len(p); i++ {
-		e.pred[predID{tid, mrrg.RealKey(p[i])}] = p[i-1]
+		e.pred = append(e.pred, predEntry{mrrg.RealKey(p[i]), p[i-1]})
 	}
 	for i := 1; i < len(p); i++ {
 		cur := p[i]
@@ -237,7 +261,7 @@ func (e *Emitter) EmitPath(p Path, tag, storeElem string) error {
 
 // SetOperand stamps a consumer's ALU source port with the value delivered
 // by the final nodes of a path (last = p[len-1], the delivery node).
-func (e *Emitter) SetOperand(fu mrrg.Node, port int, p Path, tag string) error {
+func (e *Emitter) SetOperand(fu mrrg.Node, port int, p Path, tag Tag) error {
 	if fu.Class != mrrg.ClassFU {
 		return fmt.Errorf("route: SetOperand on %v: %w", fu, diag.ErrConfigInvalid)
 	}
@@ -245,7 +269,7 @@ func (e *Emitter) SetOperand(fu mrrg.Node, port int, p Path, tag string) error {
 	var before mrrg.Node
 	if len(p) >= 2 {
 		before = p[len(p)-2]
-	} else if pr, ok := e.pred[predID{e.tagID(tag), mrrg.RealKey(last)}]; ok {
+	} else if pr, ok := e.predOf(mrrg.RealKey(last)); ok {
 		before = pr
 	}
 	src, err := operandFrom(last, before, fu.R, fu.C, fu.T)
@@ -272,7 +296,7 @@ func (e *Emitter) SetOperand(fu mrrg.Node, port int, p Path, tag string) error {
 }
 
 // SetConstOperand stamps an immediate on a consumer's port 1.
-func (e *Emitter) SetConstOperand(fu mrrg.Node, v int64, tag string) error {
+func (e *Emitter) SetConstOperand(fu mrrg.Node, v int64, tag Tag) error {
 	if err := e.claimRes(resSrc1, fu.R, fu.C, fu.T, tag); err != nil {
 		return err
 	}

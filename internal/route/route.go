@@ -122,11 +122,13 @@ type Session struct {
 	// produce bit-identical paths, costs, and mappings.
 	Legacy bool
 
-	// Filter, when non-nil, restricts the search to nodes it accepts.
-	// HiMap's canonical routing uses it to keep paths inside the spatial
-	// envelope that exists for every replica of the route (a class member
-	// near the array edge must be able to reuse the translated path).
-	Filter func(mrrg.Node) bool
+	// Envelope, when non-nil, confines the search to PEs inside the
+	// rectangle. HiMap's canonical routing uses it to keep paths inside
+	// the spatial envelope that exists for every replica of the route (a
+	// class member near the array edge must be able to reuse the
+	// translated path). The search scratch is sized to the envelope, not
+	// to the whole array.
+	Envelope *Rect
 
 	// occ and hist are dense arrays over the modulo occupancy key space
 	// (mrrg.Graph.DenseKey) — the negotiated-congestion state.
@@ -160,6 +162,16 @@ type Session struct {
 	linearKeys bool
 
 	sc Scratch
+}
+
+// Rect is an inclusive rectangle of PE coordinates.
+type Rect struct{ R0, R1, C0, C1 int }
+
+// Contains reports whether PE (r, c) lies inside the rectangle.
+//
+//himap:noalloc
+func (rc *Rect) Contains(r, c int) bool {
+	return r >= rc.R0 && r <= rc.R1 && c >= rc.C0 && c <= rc.C1
 }
 
 // defaultMaxVisits scales the per-search visit budget with the dense key
@@ -462,9 +474,12 @@ type Scratch struct {
 	tgt    []uint32  // node is a search target when tgt[i] == gen
 	owned  []uint32  // node already belongs to the net when owned[i] == gen
 	tdelta []int     // per relative cycle: DenseKey - search index delta
-	hits   []int32   // targets popped while draining the goal bucket
-	heap   minHeap   // legacy core frontier
-	bq     bucketQueue
+	// rowSkew is the per-row DenseKey - search index drift when the
+	// window is narrower than the array (0 for full-width windows).
+	rowSkew int
+	hits    []int32 // targets popped while draining the goal bucket
+	heap    minHeap // legacy core frontier
+	bq      bucketQueue
 
 	// The heuristic depends only on a node's (cycle, PE) and whether its
 	// class is Out — not on the slot — so it is computed once per
@@ -474,6 +489,27 @@ type Scratch struct {
 	hseen []uint32
 	h0    []float64
 	h1    []float64
+}
+
+// window is the dense index space of one search: real cycles [tBase,
+// maxT] over the PE rectangle of rows×cols PEs with origin (r0, c0), and
+// slots dense resource slots per PE. A search only indexes nodes inside
+// its window.
+type window struct {
+	tBase, maxT int
+	r0, c0      int
+	rows, cols  int
+	slots       int
+}
+
+// numPEs is the size of the window's (cycle, PE) space.
+func (w window) numPEs() int { return (w.maxT - w.tBase + 1) * w.rows * w.cols }
+
+// pe is the (cycle, PE) index of n — the heuristic cache key.
+//
+//himap:noalloc
+func (w window) pe(n mrrg.Node) int {
+	return ((n.T-w.tBase)*w.rows+n.R-w.r0)*w.cols + n.C - w.c0
 }
 
 // begin opens a new search generation over n dense indices (npe of them
@@ -555,12 +591,13 @@ func (s *Session) FreeNet(net *Net) {
 // the packing in RouteSink).
 //
 //himap:noalloc
-func (s *Session) nodeAt(i int32, tBase, pes, cols, slots int) mrrg.Node {
-	slot := int(i) % slots
-	rest := int(i) / slots
+func (s *Session) nodeAt(i int32, w window) mrrg.Node {
+	slot := int(i) % w.slots
+	rest := int(i) / w.slots
+	pes := w.rows * w.cols
 	pe := rest % pes
 	cl, idx := s.G.SlotResource(slot)
-	return mrrg.Node{T: rest/pes + tBase, R: pe / cols, C: pe % cols, Class: cl, Idx: idx}
+	return mrrg.Node{T: rest/pes + w.tBase, R: w.r0 + pe/w.cols, C: w.c0 + pe%w.cols, Class: cl, Idx: idx}
 }
 
 // heuristicAt is the admissible, consistent lower bound on the remaining
@@ -586,11 +623,11 @@ func (s *Session) nodeAt(i int32, tBase, pes, cols, slots int) mrrg.Node {
 //
 // It depends only on the node's (cycle, PE, is-Out), so the per-target
 // loop runs once per (cycle, PE) of a search, cached in the scratch
-// (both the general and the Out-credit lanes fill from one target scan).
+// under pi, n's (cycle, PE) index in the search window (both the general
+// and the Out-credit lanes fill from one target scan).
 //
 //himap:noalloc
-func (s *Session) heuristicAt(sc *Scratch, n mrrg.Node, targets []mrrg.Node, tBase, pes, cols int) float64 {
-	pi := (n.T-tBase)*pes + n.R*cols + n.C
+func (s *Session) heuristicAt(sc *Scratch, n mrrg.Node, pi int, targets []mrrg.Node) float64 {
 	if sc.hseen[pi] != sc.gen {
 		sc.hseen[pi] = sc.gen
 		h0, h1 := -1.0, -1.0
@@ -625,6 +662,57 @@ func (s *Session) heuristicAt(sc *Scratch, n mrrg.Node, targets []mrrg.Node, tBa
 	return sc.h0[pi]
 }
 
+// searchWindow sizes the dense index space of one search. In time it
+// covers real cycles [tBase, maxT]: tBase is the earliest seed or target
+// (successor times are monotone, so nothing before it is reachable),
+// maxT the latest target (nothing after it is useful). In space it
+// covers every node the search can index: the seeds and the targets,
+// plus the nodes relaxed from popped nodes, which lie inside the
+// Envelope when one is set. The A* core pops only nodes that can still
+// reach a target in time, and each link crossing takes a cycle moving at
+// most one row and one column, so on a non-wrapping fabric everything it
+// relaxes also lies within span+1 rows and columns of a target. Ties
+// break on (cost, RealKey), never on the index, so the window's shape
+// cannot change a path.
+func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
+	w := window{tBase: targets[0].T, maxT: targets[0].T, slots: s.G.SlotsPerPE()}
+	tr0, tr1, tc0, tc1 := targets[0].R, targets[0].R, targets[0].C, targets[0].C
+	for _, t := range targets {
+		w.tBase, w.maxT = min(w.tBase, t.T), max(w.maxT, t.T)
+		tr0, tr1, tc0, tc1 = min(tr0, t.R), max(tr1, t.R), min(tc0, t.C), max(tc1, t.C)
+	}
+	w.tBase = min(w.tBase, net.Src.T)
+	for _, p := range net.Paths {
+		for _, n := range p {
+			w.tBase = min(w.tBase, n.T)
+		}
+	}
+
+	r0, r1, c0, c1 := 0, s.G.Fab.Rows-1, 0, s.G.Fab.Cols-1
+	if env := s.Envelope; env != nil {
+		r0, r1, c0, c1 = max(r0, env.R0), min(r1, env.R1), max(c0, env.C0), min(c1, env.C1)
+	}
+	if !s.Legacy && !s.G.Fab.Topology.Wraps() {
+		reach := w.maxT - w.tBase + 1
+		r0, r1 = max(r0, tr0-reach), min(r1, tr1+reach)
+		c0, c1 = max(c0, tc0-reach), min(c1, tc1+reach)
+	}
+	// Seeds and targets may lie outside the clipped rectangle (a source
+	// or relay pin just off the envelope); they are indexed all the same.
+	r0, r1, c0, c1 = min(r0, tr0), max(r1, tr1), min(c0, tc0), max(c1, tc1)
+	cover := func(n mrrg.Node) {
+		r0, r1, c0, c1 = min(r0, n.R), max(r1, n.R), min(c0, n.C), max(c1, n.C)
+	}
+	cover(net.Src)
+	for _, p := range net.Paths {
+		for _, n := range p {
+			cover(n)
+		}
+	}
+	w.r0, w.c0, w.rows, w.cols = r0, c0, r1-r0+1, c1-c0+1
+	return w
+}
+
 // RouteSink extends the net with a least-cost path from any node the net
 // already owns to any node of targets. Newly entered nodes are charged to
 // the session occupancy (modulo II). The found path starts at an owned
@@ -647,37 +735,13 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 	if len(targets) == 0 {
 		return nil, 0, fmt.Errorf("route: %w: no targets", ErrNoPath)
 	}
-	// The dense per-search index space covers real cycles [tBase, maxT]:
-	// tBase is the earliest seed or target (successor times are monotone,
-	// so nothing before it is reachable), maxT the latest target (nothing
-	// after it is useful).
-	maxT, tBase := targets[0].T, targets[0].T
-	for _, t := range targets {
-		if t.T > maxT {
-			maxT = t.T
-		}
-		if t.T < tBase {
-			tBase = t.T
-		}
-	}
-	if net.Src.T < tBase {
-		tBase = net.Src.T
-	}
-	for _, p := range net.Paths {
-		for _, n := range p {
-			if n.T < tBase {
-				tBase = n.T
-			}
-		}
-	}
+	w := s.searchWindow(net, targets)
+	tBase, maxT := w.tBase, w.maxT
 
-	pes := s.G.Fab.NumPEs()
-	cols := s.G.Fab.Cols
-	slots := s.G.SlotsPerPE()
-	sc.begin((maxT-tBase+1)*pes*slots, (maxT-tBase+1)*pes)
+	sc.begin(w.numPEs()*w.slots, w.numPEs())
 	gen := sc.gen
 	idxOf := func(n mrrg.Node) int32 {
-		return int32(((n.T-tBase)*pes+n.R*cols+n.C)*slots + s.G.SlotIndex(n.Class, n.Idx))
+		return int32(w.pe(n)*w.slots + s.G.SlotIndex(n.Class, n.Idx))
 	}
 
 	for _, t := range targets {
@@ -686,13 +750,16 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 	astar := !s.Legacy
 	if astar {
 		// Dense-key precomputation: DenseKey(node) = search index +
-		// tdelta[node.T - tBase], because within one cycle the search
-		// index and the dense occupancy key share the (pe, slot) layout.
+		// tdelta[node.T - tBase] + node.R × rowSkew, because within one
+		// window row the search index and the dense occupancy key share
+		// the (pe, slot) layout; rows only differ in their widths.
 		sc.tdelta = sc.tdelta[:0]
-		stride := pes * slots
+		stride := w.rows * w.cols * w.slots
+		origin := (w.r0*w.cols + w.c0) * w.slots
 		for tr := 0; tr <= maxT-tBase; tr++ {
-			sc.tdelta = append(sc.tdelta, s.G.TimeBase(tBase+tr)-tr*stride)
+			sc.tdelta = append(sc.tdelta, s.G.TimeBase(tBase+tr)-tr*stride+origin)
 		}
+		sc.rowSkew = (s.G.Fab.Cols - w.cols) * w.slots
 	}
 	seed := func(n mrrg.Node) {
 		if n.T > maxT {
@@ -704,7 +771,7 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 		sc.dist[i] = 0
 		sc.parent[i] = -1
 		if astar {
-			h := s.heuristicAt(sc, n, targets, tBase, pes, cols)
+			h := s.heuristicAt(sc, n, w.pe(n), targets)
 			if h < 0 {
 				return // no target reachable from this seed in time
 			}
@@ -726,9 +793,9 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 	var cost float64
 	var err error
 	if astar {
-		goal, cost, err = s.searchAStar(sc, net, targets, idxOf, tBase, maxT, pes, cols, slots)
+		goal, cost, err = s.searchAStar(sc, net, targets, w)
 	} else {
-		goal, cost, err = s.searchDijkstra(sc, net, targets, idxOf, tBase, maxT, pes, cols, slots)
+		goal, cost, err = s.searchDijkstra(sc, net, targets, w)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -744,7 +811,7 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 	}
 	path := make(Path, n)
 	for i, j := goal, n-1; ; j-- {
-		path[j] = s.nodeAt(i, tBase, pes, cols, slots)
+		path[j] = s.nodeAt(i, w)
 		p := sc.parent[i]
 		if p < 0 {
 			break
@@ -758,9 +825,9 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 // searchDijkstra is the legacy core: a plain Dijkstra over one global
 // binary heap, returning at the first target popped. Kept bit-identical
 // to the historical router for the differential equivalence tests.
-func (s *Session) searchDijkstra(sc *Scratch, net *Net, targets []mrrg.Node,
-	idxOf func(mrrg.Node) int32, tBase, maxT, pes, cols, slots int) (int32, float64, error) {
+func (s *Session) searchDijkstra(sc *Scratch, net *Net, targets []mrrg.Node, w window) (int32, float64, error) {
 	gen := sc.gen
+	env := s.Envelope
 	visits := 0
 	for len(sc.heap) > 0 {
 		it := sc.heap.pop()
@@ -775,17 +842,17 @@ func (s *Session) searchDijkstra(sc *Scratch, net *Net, targets []mrrg.Node,
 		if sc.tgt[it.idx] == gen {
 			return it.idx, it.cost, nil
 		}
-		cur := s.nodeAt(it.idx, tBase, pes, cols, slots)
+		cur := s.nodeAt(it.idx, w)
 		base := it.cost
 		parent := it.idx
 		s.G.Succ(cur, func(m mrrg.Node) {
-			if m.T > maxT {
+			if m.T > w.maxT {
 				return
 			}
-			if s.Filter != nil && !s.Filter(m) {
+			if env != nil && !env.Contains(m.R, m.C) {
 				return
 			}
-			mi := idxOf(m)
+			mi := int32(w.pe(m)*w.slots + s.G.SlotIndex(m.Class, m.Idx))
 			if sc.closed[mi] == gen {
 				return
 			}
@@ -811,32 +878,33 @@ func (s *Session) searchDijkstra(sc *Scratch, net *Net, targets []mrrg.Node,
 // is drained (same-cost parent claims and same-cost targets all live
 // there) and the (cost, RealKey)-minimal hit is committed — the same
 // target, path, and cost the legacy core returns.
-func (s *Session) searchAStar(sc *Scratch, net *Net, targets []mrrg.Node,
-	idxOf func(mrrg.Node) int32, tBase, maxT, pes, cols, slots int) (int32, float64, error) {
+func (s *Session) searchAStar(sc *Scratch, net *Net, targets []mrrg.Node, w window) (int32, float64, error) {
 	gen := sc.gen
+	env := s.Envelope
 	visits := 0
 	goalBucket := -1
 	var gCur float64
 	var iCur int32
 	var curKey uint64
 	relax := func(m mrrg.Node) {
-		if m.T > maxT {
+		if m.T > w.maxT {
 			return
 		}
-		if s.Filter != nil && !s.Filter(m) {
+		if env != nil && !env.Contains(m.R, m.C) {
 			return
 		}
-		mi := idxOf(m)
+		pi := w.pe(m)
+		mi := int32(pi*w.slots + s.G.SlotIndex(m.Class, m.Idx))
 		nd := gCur
 		if sc.owned[mi] != gen {
-			key := int(mi) + sc.tdelta[m.T-tBase]
+			key := int(mi) + sc.tdelta[m.T-w.tBase] + m.R*sc.rowSkew
 			if !s.linearKeys {
 				key = s.G.DenseKey(m) // shared-bus collapse: no linear shortcut
 			}
 			nd += s.enterCostAt(m, key)
 		}
 		if sc.seen[mi] != gen {
-			h := s.heuristicAt(sc, m, targets, tBase, pes, cols)
+			h := s.heuristicAt(sc, m, pi, targets)
 			if h < 0 {
 				return // no target reachable in time: prune
 			}
@@ -900,7 +968,7 @@ func (s *Session) searchAStar(sc *Scratch, net *Net, targets []mrrg.Node,
 			sc.hits = append(sc.hits, i)
 			continue
 		}
-		cur := s.nodeAt(i, tBase, pes, cols, slots)
+		cur := s.nodeAt(i, w)
 		gCur = sc.dist[i]
 		iCur = i
 		curKey = sc.key[i]

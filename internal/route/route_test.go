@@ -203,19 +203,19 @@ func TestEmitterSingleHop(t *testing.T) {
 	}
 	cfg := arch.NewConfig(arch.DefaultFabric(1, 2), 2)
 	e := NewEmitter(cfg)
-	if err := e.PlaceOp(src, ir.OpMul, "prod"); err != nil {
+	if err := e.PlaceOp(src, ir.OpMul, ValueTag(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.PlaceOp(consumer, ir.OpAdd, "cons"); err != nil {
+	if err := e.PlaceOp(consumer, ir.OpAdd, ValueTag(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EmitPath(path, "v1", ""); err != nil {
+	if err := e.EmitPath(path, ValueTag(1), ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetOperand(consumer, 0, path, "v1"); err != nil {
+	if err := e.SetOperand(consumer, 0, path, ValueTag(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetConstOperand(consumer, 7, "c"); err != nil {
+	if err := e.SetConstOperand(consumer, 7, OperandTag(2)); err != nil {
 		t.Fatal(err)
 	}
 	prod := cfg.At(0, 0, 0)
@@ -232,13 +232,13 @@ func TestEmitterDetectsConflicts(t *testing.T) {
 	cfg := arch.NewConfig(arch.DefaultFabric(1, 2), 2)
 	e := NewEmitter(cfg)
 	n := fu(0, 0, 0)
-	if err := e.PlaceOp(n, ir.OpMul, "a"); err != nil {
+	if err := e.PlaceOp(n, ir.OpMul, ValueTag(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.PlaceOp(n, ir.OpAdd, "b"); err == nil {
+	if err := e.PlaceOp(n, ir.OpAdd, ValueTag(2)); err == nil {
 		t.Error("two ops on one FU slot must conflict")
 	}
-	if err := e.PlaceOp(n, ir.OpMul, "a"); err != nil {
+	if err := e.PlaceOp(n, ir.OpMul, ValueTag(1)); err != nil {
 		t.Errorf("idempotent re-stamp must succeed: %v", err)
 	}
 }
@@ -256,16 +256,16 @@ func TestEmitterRegisterPath(t *testing.T) {
 	}
 	cfg := arch.NewConfig(arch.DefaultFabric(1, 1), 4)
 	e := NewEmitter(cfg)
-	if err := e.PlaceOp(src, ir.OpMul, "p"); err != nil {
+	if err := e.PlaceOp(src, ir.OpMul, ValueTag(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.PlaceOp(consumer, ir.OpAdd, "c"); err != nil {
+	if err := e.PlaceOp(consumer, ir.OpAdd, OperandTag(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EmitPath(path, "v", ""); err != nil {
+	if err := e.EmitPath(path, ValueTag(1), ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetOperand(consumer, 0, path, "v"); err != nil {
+	if err := e.SetOperand(consumer, 0, path, ValueTag(1)); err != nil {
 		t.Fatal(err)
 	}
 	// The producer's slot must write a register from the ALU.

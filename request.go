@@ -61,7 +61,10 @@ type Request struct {
 // cancellation and deadlines (a canceled compile fails with an error
 // wrapping ErrCanceled). A nil ctx is treated as context.Background().
 //
-// For MapperHiMap the Result is the familiar hierarchical mapping. For
+// For MapperHiMap the Result is the familiar hierarchical mapping;
+// candidate (sub-mapping, scheme) attempts run speculatively through
+// route in waves of Options.Workers, and only the routed attempt being
+// committed is replicated onto the array and validated. For
 // MapperConventional the shared fields (Kernel, Fabric, CGRA, Block,
 // Config, Utilization) are filled from the conventional mapping and
 // Result.Conventional holds the full *BaselineResult. For MapperExact

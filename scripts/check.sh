@@ -37,3 +37,8 @@ echo "$exact_out" | grep -q "proved minimal"
 # 29 allocs/op floor (testing.AllocsPerRun in bench_test.go) and fails
 # the run if the router's steady-state search starts allocating.
 go test -run '^$' -bench BenchmarkRouteSinkHotPath -benchtime 10x .
+# 64x64 compile alloc gate: BenchmarkCompile64Allocs self-enforces the
+# allocation ceiling of one cold BICG 64x64 compile (Workers 1, fresh
+# memo; testing.AllocsPerRun in bench_test.go), so replicate and
+# validate cannot drift back to allocating per stamped field.
+go test -run '^$' -bench BenchmarkCompile64Allocs -benchtime 1x .
