@@ -56,19 +56,6 @@ type Options struct {
 	// 0 means runtime.GOMAXPROCS(0); 1 executes exactly the historical
 	// sequential flow.
 	Workers int
-	// IncrementalRoute keeps classes whose routed resources ended a
-	// negotiated-congestion round within capacity, re-applying their
-	// plans verbatim instead of re-routing them (incremental PathFinder
-	// rip-up). Only congested classes re-route against the bumped
-	// history. Off by default: clean nets re-routed from scratch can
-	// legally choose different paths once history changes, so
-	// incremental results are not bit-identical to the historical flow
-	// on kernels needing more than one round (single-round kernels are
-	// unaffected). Every emitted mapping still passes full validation.
-	IncrementalRoute bool
-	// routeLegacy selects the pre-A* global-heap Dijkstra router core —
-	// kept for differential testing of the A*+bucket-queue rewrite.
-	routeLegacy bool
 	// costModel overrides the router's congestion-pricing model (the
 	// fabric-derived route.For selection otherwise) — kept for
 	// differential testing of the CostModel seam.
@@ -185,9 +172,6 @@ type Stats struct {
 	Attempts      int // (sub-mapping, scheme) pairs tried
 	CanonicalNets int
 	RouteRounds   int
-	// KeptClasses counts class plans carried across negotiated-congestion
-	// rounds by incremental re-route (0 unless Options.IncrementalRoute).
-	KeptClasses int
 }
 
 // Compile maps the kernel onto the CGRA with the HiMap algorithm and

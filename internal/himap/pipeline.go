@@ -364,18 +364,14 @@ func runRoute(c *CompileContext) error {
 	c.lay = &layout{
 		cg: c.Fab, g: c.ISDG, cp: c.CP, sub: c.Sub, iib: c.IIB,
 		classes: c.Classes, byClust: c.ByCluster,
-		ix:          buildNodeIndex(c.ISDG),
-		policy:      c.Opts.RelayPolicy,
-		workers:     c.Opts.Workers,
-		incremental: c.Opts.IncrementalRoute,
-		legacy:      c.Opts.routeLegacy,
-		costModel:   c.Opts.costModel,
+		ix:        buildNodeIndex(c.ISDG),
+		policy:    c.Opts.RelayPolicy,
+		costModel: c.Opts.costModel,
 	}
 	plans, rstats, err := c.lay.routeCanonical(c.Ctx, c.Opts.MaxRouteRounds)
 	c.RStats = rstats
 	c.Count("rounds", int64(rstats.Rounds))
 	c.Count("nets", int64(rstats.CanonicalNets))
-	c.Count("kept_classes", int64(rstats.KeptClasses))
 	if err != nil {
 		return err
 	}
@@ -423,7 +419,6 @@ func (c *CompileContext) buildResult() *Result {
 			ReplicateTime: c.wall[StageReplicate] + c.wall[StageValidate],
 			CanonicalNets: c.RStats.CanonicalNets,
 			RouteRounds:   c.RStats.Rounds,
-			KeptClasses:   c.RStats.KeptClasses,
 		},
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/mrrg"
-	"himap/internal/par"
 	"himap/internal/route"
 )
 
@@ -34,23 +33,9 @@ type layout struct {
 	loadRel []map[int]RelPlace
 	// policy is the relay-pin ablation knob (see Options.RelayPolicy).
 	policy RelayPolicy
-	// workers bounds route-round parallelism: waves of provably
-	// independent nets (disjoint wrapped-cycle footprints) route
-	// concurrently. <= 1 executes the historical sequential loop.
-	workers int
-	// incremental keeps congestion-free classes across negotiated-
-	// congestion rounds instead of re-routing every net (incremental
-	// PathFinder; see Options.IncrementalRoute).
-	incremental bool
-	// legacy selects the pre-A* Dijkstra router core (differential
-	// testing only; see route.Session.Legacy).
-	legacy bool
 	// costModel, when non-nil, overrides the fabric-derived congestion
 	// pricing (differential testing only; see Options.costModel).
 	costModel route.CostModel
-	// waveScratch holds one router search Scratch per wave position, so
-	// concurrent searches never share working memory.
-	waveScratch []*route.Scratch
 
 	// pendBuf/sinkBuf/tgtBuf are arenas reused across every
 	// buildClassNets call (one class per call, many calls per congestion
@@ -58,8 +43,7 @@ type layout struct {
 	// Sinks and targets are addressed by [lo, hi) index ranges into the
 	// shared arenas rather than subslices, so arena growth during
 	// construction cannot strand earlier entries on stale backing
-	// arrays. All three are append-only while a class routes, so wave
-	// workers read them concurrently without synchronization.
+	// arrays.
 	pendBuf []pendingNet
 	sinkBuf []pendingSink
 	tgtBuf  []mrrg.Node
@@ -270,9 +254,6 @@ type RouteStats struct {
 	UniqueIters   int
 	CanonicalNets int
 	Rounds        int
-	// KeptClasses counts class plans carried over between rounds by
-	// incremental re-route (always 0 when IncrementalRoute is off).
-	KeptClasses int
 }
 
 // routeCanonical performs Algorithm 1 lines 21-27: routes the minimal
@@ -284,7 +265,6 @@ type RouteStats struct {
 func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNet, RouteStats, error) {
 	g := mrrg.New(l.cg, l.iib)
 	ses := route.NewSession(g)
-	ses.Legacy = l.legacy
 	stats := RouteStats{UniqueIters: len(l.classes)}
 	if l.costModel != nil {
 		if err := ses.SetCostModel(l.costModel); err != nil {
@@ -304,7 +284,6 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 	}
 
 	var plans [][]canonNet
-	var prevPlans [][]canonNet // last failed round's plans (aligned prefix)
 	var allNets []*route.Net
 	var roundErr error
 	for round := 0; round < maxRounds; round++ {
@@ -312,38 +291,19 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 			return nil, stats, fmt.Errorf("himap: %w: %v", diag.ErrCanceled, err)
 		}
 		stats.Rounds = round + 1
-		// Incremental re-route: decide — against the occupancy the failed
-		// round left behind, before it is reset — which classes can keep
-		// their plans: every resource of every net, under every member's
-		// translation (plus the members' boundary-load slots), must be
-		// within capacity. Classes touching congestion re-route against
-		// the bumped history, exactly as PathFinder negotiates.
-		var keep []bool
-		if l.incremental && len(prevPlans) > 0 {
-			keep = make([]bool, len(l.classes))
-			for ci, cl := range l.classes {
-				keep[ci] = ci < len(prevPlans) && l.classClean(ses, g, ci, cl, prevPlans[ci])
-			}
-		}
 		ses.ResetKeepHistory()
 		for i := range l.loadRel {
-			if keep == nil || !keep[i] {
-				l.loadRel[i] = map[int]RelPlace{}
+			l.loadRel[i] = map[int]RelPlace{}
+		}
+		// Nothing references a dropped round's nets once its history is
+		// bumped — recycle their storage so later rounds re-route
+		// allocation-free.
+		for _, nets := range plans {
+			for i := range nets {
+				ses.FreeNet(nets[i].net)
 			}
 		}
-		if l.incremental {
-			plans = nil // prevPlans aliases the old backing array
-		} else {
-			// Without incremental keep, nothing references a dropped
-			// round's nets once its history is bumped — recycle their
-			// storage so later rounds re-route allocation-free.
-			for _, nets := range plans {
-				for i := range nets {
-					ses.FreeNet(nets[i].net)
-				}
-			}
-			plans = plans[:0]
-		}
+		plans = plans[:0]
 		roundErr = nil
 
 		// Reserve every cluster's fixed placements (FUs and generic loads).
@@ -357,25 +317,10 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 		for classIdx, cl := range l.classes {
 			rep := cl.Rep
 			bt, br, bc := l.regionBase(rep)
-			var nets []canonNet
-			if keep != nil && keep[classIdx] {
-				// Re-apply the kept plan's charges verbatim: the canonical
-				// nets and the representative's boundary-load slots.
-				nets = prevPlans[classIdx]
-				for i := range nets {
-					ses.Recharge(nets[i].net)
-				}
-				for _, lr := range l.loadRel[classIdx] {
-					ses.Reserve(mrrg.Node{T: bt + lr.T, R: br + lr.R, C: bc + lr.C, Class: mrrg.ClassMemRead})
-				}
-				stats.KeptClasses++
-			} else {
-				var err error
-				nets, err = l.routeClass(ses, g, classIdx, cl)
-				if err != nil {
-					roundErr = fmt.Errorf("class %d (rep %v): %w", classIdx, l.g.Clusters[cl.Rep].Iter, err)
-					break
-				}
+			nets, err := l.routeClass(ses, g, classIdx, cl)
+			if err != nil {
+				roundErr = fmt.Errorf("class %d (rep %v): %w", classIdx, l.g.Clusters[cl.Rep].Iter, err)
+				break
 			}
 			plans = append(plans, nets)
 			for i := range nets {
@@ -399,14 +344,12 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 		}
 		if roundErr != nil {
 			// Escalate costs where the failure occurred and retry.
-			prevPlans = plans
 			if ses.BumpHistory(allNets) == 0 {
 				return nil, stats, roundErr
 			}
 			continue
 		}
 		if over := ses.OversubscribedIn(allNets); len(over) > 0 {
-			prevPlans = plans
 			ses.BumpHistory(allNets)
 			show := over
 			if len(show) > 4 {
@@ -426,34 +369,6 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 	return plans, stats, nil
 }
 
-// classClean reports whether a routed class plan survived the round
-// congestion-free: every node of every net — under every member's
-// translation — and every member's boundary-load slot is within
-// capacity. Must run against end-of-round occupancy, before
-// ResetKeepHistory.
-func (l *layout) classClean(ses *route.Session, g *mrrg.Graph, classIdx int, cl *UniqueClass, nets []canonNet) bool {
-	bt, br, bc := l.regionBase(cl.Rep)
-	for _, m := range cl.Members {
-		mt, mr, mc := l.regionBase(m)
-		dt, dr, dc := mt-bt, mr-br, mc-bc
-		for i := range nets {
-			for _, n := range nets[i].net.NodeList() {
-				sn := n.Shifted(dt, dr, dc)
-				if ses.Occ(sn) > ses.CapacityOf(sn.Class) {
-					return false
-				}
-			}
-		}
-		for _, lr := range l.loadRel[classIdx] {
-			sn := mrrg.Node{T: mt + lr.T, R: mr + lr.R, C: mc + lr.C, Class: mrrg.ClassMemRead}
-			if ses.Occ(sn) > ses.CapacityOf(mrrg.ClassMemRead) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // classEnvelope returns the spatial window (in the representative's
 // coordinates) that stays on-array under every member's translation: a
 // canonical path confined to it can be replicated verbatim everywhere.
@@ -464,8 +379,7 @@ func (l *layout) classEnvelope(cl *UniqueClass) (rMin, rMax, cMin, cMax int) {
 		// canonical route replicates verbatim from anywhere on the array.
 		return 0, l.cg.Rows - 1, 0, l.cg.Cols - 1
 	}
-	bt, br, bc := l.regionBase(cl.Rep)
-	_ = bt
+	_, br, bc := l.regionBase(cl.Rep)
 	drMin, drMax, dcMin, dcMax := 0, 0, 0, 0
 	for _, m := range cl.Members {
 		_, mr, mc := l.regionBase(m)
@@ -516,8 +430,10 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 	// the session carries exactly the occupancy the historical
 	// interleaved loop left behind.
 	pend, buildErr := l.buildClassNets(ses, g, cl, env)
-	if err := l.routePending(ses, pend); err != nil {
-		return nil, err
+	for i := range pend {
+		if err := l.routeNet(ses, &pend[i]); err != nil {
+			return nil, err
+		}
 	}
 	if buildErr != nil {
 		return nil, buildErr
@@ -531,8 +447,7 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 
 // pendingSink is one fully-constructed sink of a pending net: its target
 // set (the [tgt0, tgt1) range of the layout's target arena) plus the
-// replication metadata, built before any routing so that independent
-// nets can route concurrently.
+// replication metadata.
 type pendingSink struct {
 	tgt0, tgt1 int
 	meta       canonSink
@@ -542,15 +457,10 @@ type pendingSink struct {
 
 // pendingNet is a canonical net with every sink target constructed but
 // nothing routed yet; its sinks are the [sink0, sink1) range of the
-// layout's sink arena. lo/hi bound every real cycle its search can
-// touch: seeds (source and earlier sink paths) and targets all live in
-// [lo, hi], and search edges never step outside [min seed T, max target
-// T]. Two pending nets with disjoint wrapped-cycle windows therefore
-// read and write provably disjoint occupancy.
+// layout's sink arena.
 type pendingNet struct {
 	cn           canonNet
 	sink0, sink1 int
-	lo, hi       int
 }
 
 // buildClassNets constructs the pending nets of one class representative
@@ -614,7 +524,6 @@ func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mr
 				net:      ses.NewNet(src),
 			},
 			sink0: len(l.sinkBuf), sink1: len(l.sinkBuf),
-			lo: src.T, hi: src.T,
 		}
 		for _, ei := range d.OutEdges(id) {
 			e := d.Edges[ei]
@@ -655,14 +564,6 @@ func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mr
 				pend = append(pend, p)
 				return pend, err
 			}
-			for _, tn := range l.tgtBuf[t0:] {
-				if tn.T < p.lo {
-					p.lo = tn.T
-				}
-				if tn.T > p.hi {
-					p.hi = tn.T
-				}
-			}
 			l.sinkBuf = append(l.sinkBuf, pendingSink{
 				tgt0:     t0,
 				tgt1:     len(l.tgtBuf),
@@ -683,105 +584,16 @@ func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mr
 }
 
 // routeNet routes every sink of one pending net, in order, committing
-// paths into the session's occupancy as it goes. sc selects an explicit
-// search scratch (wave routing); nil uses the session's own.
-func (l *layout) routeNet(ses *route.Session, sc *route.Scratch, p *pendingNet) error {
+// paths into the session's occupancy as it goes.
+func (l *layout) routeNet(ses *route.Session, p *pendingNet) error {
 	for si := p.sink0; si < p.sink1; si++ {
 		s := &l.sinkBuf[si]
-		targets := l.tgtBuf[s.tgt0:s.tgt1]
-		var path route.Path
-		var err error
-		if sc != nil {
-			path, _, err = ses.RouteSinkIn(sc, p.cn.net, targets)
-		} else {
-			path, _, err = ses.RouteSink(p.cn.net, targets)
-		}
+		path, _, err := ses.RouteSink(p.cn.net, l.tgtBuf[s.tgt0:s.tgt1])
 		if err != nil {
 			return fmt.Errorf("net %s -> %s: %w", s.fromName, s.toName, err)
 		}
 		s.meta.Path = path
 		p.cn.Sinks = append(p.cn.Sinks, s.meta)
-	}
-	return nil
-}
-
-// routePending routes the class's pending nets: sequentially at
-// workers <= 1 (the historical flow), otherwise in waves of provably
-// independent nets. Waves require wrapped occupancy (so a cycle window
-// is a complete footprint) and II <= 64 (one mask word).
-func (l *layout) routePending(ses *route.Session, pend []pendingNet) error {
-	if l.workers > 1 && ses.G.Wrap && l.iib <= 64 {
-		return l.routeWaves(ses, pend)
-	}
-	for i := range pend {
-		if err := l.routeNet(ses, nil, &pend[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// cycleMask is the wrapped-cycle footprint of the real-cycle window
-// [lo, hi] as a bitmask; callers guarantee ii <= 64.
-//
-//himap:noalloc
-func cycleMask(lo, hi, ii int) uint64 {
-	if hi-lo+1 >= ii {
-		return ^uint64(0) >> (64 - uint(ii))
-	}
-	var m uint64
-	for t := lo; t <= hi; t++ {
-		m |= 1 << uint(((t%ii)+ii)%ii)
-	}
-	return m
-}
-
-// routeWaves routes maximal prefixes of pairwise cycle-disjoint nets
-// concurrently. Disjoint wrapped-cycle windows mean disjoint occupancy
-// reads and writes, so the committed paths — and every later search —
-// are bit-identical to the sequential order. On failure the sequential
-// state is reproduced: the first failing net (in canonical order) keeps
-// its earlier sinks committed, and every net after it in the wave is
-// released as if it had never routed.
-func (l *layout) routeWaves(ses *route.Session, pend []pendingNet) error {
-	if l.waveScratch == nil {
-		l.waveScratch = make([]*route.Scratch, l.workers)
-		for i := range l.waveScratch {
-			l.waveScratch[i] = &route.Scratch{}
-		}
-	}
-	errs := make([]error, l.workers)
-	for base := 0; base < len(pend); {
-		wave := 1
-		used := cycleMask(pend[base].lo, pend[base].hi, l.iib)
-		for base+wave < len(pend) && wave < l.workers {
-			m := cycleMask(pend[base+wave].lo, pend[base+wave].hi, l.iib)
-			if used&m != 0 {
-				break
-			}
-			used |= m
-			wave++
-		}
-		if wave == 1 {
-			if err := l.routeNet(ses, nil, &pend[base]); err != nil {
-				return err
-			}
-			base++
-			continue
-		}
-		par.ForEach(wave, wave, func(k int) {
-			errs[k] = l.routeNet(ses, l.waveScratch[k], &pend[base+k])
-		})
-		for k := 0; k < wave; k++ {
-			if errs[k] != nil {
-				for j := k + 1; j < wave; j++ {
-					ses.Release(pend[base+j].cn.net)
-					pend[base+j].cn.Sinks = pend[base+j].cn.Sinks[:0]
-				}
-				return errs[k]
-			}
-		}
-		base += wave
 	}
 	return nil
 }

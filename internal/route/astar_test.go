@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -17,14 +18,114 @@ func (r *lcg) next(n int) int {
 	return int(uint64(*r>>33) % uint64(n))
 }
 
+// refSearch is the reference the router's A* core is checked against: a
+// plain Dijkstra over one global binary heap in (cost, RealKey) order,
+// expanding G.Succ and pricing with enterCost, that returns the first
+// target it pops. Owned nodes (the net's source and committed paths, up
+// to the last target cycle) are zero-cost seeds; the Envelope confines
+// relaxed nodes; a search that closes more than MaxVisits nodes fails
+// with ErrSearchLimit. The found path is committed to the net and the
+// session occupancy exactly as RouteSink commits it, so successive sinks
+// see the same state. It indexes nodes by RealKey in maps — no window,
+// no heuristic, no bucket queue.
+func refSearch(s *Session, net *Net, targets []mrrg.Node) (Path, float64, error) {
+	if len(targets) == 0 {
+		return nil, 0, fmt.Errorf("route: %w: no targets", ErrNoPath)
+	}
+	maxT := targets[0].T
+	isTarget := map[uint64]bool{}
+	for _, t := range targets {
+		maxT = max(maxT, t.T)
+		isTarget[mrrg.RealKey(t)] = true
+	}
+	type entry struct {
+		node          mrrg.Node
+		dist          float64
+		parent        int // index into nodes; -1 for seeds
+		owned, closed bool
+	}
+	var nodes []entry
+	index := map[uint64]int{}
+	var frontier minHeap
+	seed := func(n mrrg.Node) {
+		if n.T > maxT {
+			return
+		}
+		k := mrrg.RealKey(n)
+		i, ok := index[k]
+		if !ok {
+			i = len(nodes)
+			index[k] = i
+			nodes = append(nodes, entry{node: n})
+		}
+		nodes[i].owned, nodes[i].dist, nodes[i].parent = true, 0, -1
+		frontier.push(heapItem{cost: 0, key: k, idx: int32(i)})
+	}
+	seed(net.Src)
+	for _, p := range net.Paths {
+		for _, n := range p {
+			seed(n)
+		}
+	}
+	visits := 0
+	for len(frontier) > 0 {
+		it := frontier.pop()
+		cur := int(it.idx)
+		if nodes[cur].closed {
+			continue
+		}
+		nodes[cur].closed = true
+		visits++
+		if visits > s.MaxVisits {
+			return nil, 0, fmt.Errorf("route: %w (limit %d)", ErrSearchLimit, s.MaxVisits)
+		}
+		if isTarget[it.key] {
+			var path Path
+			for i := cur; i >= 0; i = nodes[i].parent {
+				path = append(Path{nodes[i].node}, path...)
+			}
+			s.commit(net, path)
+			return path, it.cost, nil
+		}
+		s.G.Succ(nodes[cur].node, func(m mrrg.Node) {
+			if m.T > maxT {
+				return
+			}
+			if env := s.Envelope; env != nil && !env.Contains(m.R, m.C) {
+				return
+			}
+			k := mrrg.RealKey(m)
+			j, seen := index[k]
+			if seen && nodes[j].closed {
+				return
+			}
+			nd := it.cost
+			if !seen || !nodes[j].owned {
+				nd += s.enterCost(m)
+			}
+			if !seen {
+				j = len(nodes)
+				index[k] = j
+				nodes = append(nodes, entry{node: m, dist: nd, parent: cur})
+			} else if nd < nodes[j].dist {
+				nodes[j].dist, nodes[j].parent = nd, cur
+			} else {
+				return
+			}
+			frontier.push(heapItem{cost: nd, key: k, idx: int32(j)})
+		})
+	}
+	return nil, 0, fmt.Errorf("route: %w from net %d (src %v) to %v", ErrNoPath, net.ID, net.Src, targets[0])
+}
+
 // TestSearchEquivalenceRandomizedCongestion is the router-core property
 // test: on mesh and torus fabrics, under randomized occupancy and
 // history costs, the A*+bucket-queue search must return exactly the
-// path, cost, and error the legacy global-heap Dijkstra returns — the
+// path, cost, and error the reference Dijkstra (refSearch) returns — the
 // bit-identity contract exercised far beyond the kernel corpus. Every
 // other trial confines both searches to a random Envelope; on the 16x16
 // mesh the A* scratch window is also clipped to the targets' reach,
-// while the legacy core always indexes the whole envelope.
+// while the reference indexes every node it relaxes.
 func TestSearchEquivalenceRandomizedCongestion(t *testing.T) {
 	rng := lcg(0x9e3779b97f4a7c15)
 	for _, topo := range []arch.Topology{arch.TopoMesh, arch.TopoTorus} {
@@ -33,7 +134,6 @@ func TestSearchEquivalenceRandomizedCongestion(t *testing.T) {
 			const ii = 8
 			g := mrrg.New(f, ii)
 			old := NewSession(g)
-			old.Legacy = true
 			new_ := NewSession(g)
 			for trial := 0; trial < 50; trial++ {
 				old.Reset()
@@ -75,7 +175,7 @@ func TestSearchEquivalenceRandomizedCongestion(t *testing.T) {
 				for sink := 0; sink < 2; sink++ {
 					dt := 1 + rng.next(6)
 					targets := g.OperandTargets(src.T+dt, rng.next(f.Rows), rng.next(f.Cols))
-					op, oc, oerr := old.RouteSink(oldNet, targets)
+					op, oc, oerr := refSearch(old, oldNet, targets)
 					np, nc, nerr := new_.RouteSink(newNet, targets)
 					if (oerr == nil) != (nerr == nil) {
 						t.Fatalf("%s %v trial %d sink %d: Dijkstra err %v, A* err %v",
@@ -102,7 +202,7 @@ func TestSearchEquivalenceRandomizedCongestion(t *testing.T) {
 // wrap-around fabrics: for random uncongested instances, the A* lower
 // bound at the source — and at every node of the optimal path, against
 // that node's true cost-to-go (shortest-path suffixes are shortest
-// paths) — must not exceed the exact Dijkstra cost.
+// paths) — must not exceed the exact cost refSearch finds.
 func TestTorusHeuristicNeverOverestimates(t *testing.T) {
 	rng := lcg(1)
 	for _, sz := range [][2]int{{3, 3}, {4, 6}, {8, 8}} {
@@ -110,7 +210,6 @@ func TestTorusHeuristicNeverOverestimates(t *testing.T) {
 		const ii = 8
 		g := mrrg.New(f, ii)
 		s := NewSession(g)
-		s.Legacy = true      // exact reference costs, no heuristic in the search
 		ref := NewSession(g) // stays empty: enterCost = uncongested base cost
 		for trial := 0; trial < 100; trial++ {
 			s.Reset()
@@ -119,7 +218,7 @@ func TestTorusHeuristicNeverOverestimates(t *testing.T) {
 			net := s.NewNet(src)
 			dt := 1 + rng.next(6)
 			targets := g.OperandTargets(src.T+dt, rng.next(f.Rows), rng.next(f.Cols))
-			path, cost, err := s.RouteSink(net, targets)
+			path, cost, err := refSearch(s, net, targets) // exact costs, no heuristic
 			if err != nil {
 				continue
 			}
@@ -133,7 +232,7 @@ func TestTorusHeuristicNeverOverestimates(t *testing.T) {
 				}
 			}
 			w := window{tBase: tBase, maxT: maxT, rows: f.Rows, cols: f.Cols, slots: g.SlotsPerPE()}
-			var sc Scratch
+			var sc scratch
 			sc.begin(w.numPEs()*w.slots, w.numPEs())
 			// Suffix costs along the optimal path are exact costs-to-go.
 			for i := 0; i < len(path); i++ {

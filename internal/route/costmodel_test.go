@@ -154,8 +154,9 @@ func TestUnitModelPricesLegacyFormula(t *testing.T) {
 // bit-identity property to the bandwidth-constrained fabrics: on the
 // double-pumped and narrowed register files (RF capacities 2x and 1)
 // and on the shared-bus fabric (where the dense-key collapse disables
-// the A* linear-key fast path), both search cores must return
-// identical paths, costs, and errors under randomized congestion.
+// the A* linear-key fast path), RouteSink and the reference Dijkstra
+// (refSearch) must return identical paths, costs, and errors under
+// randomized congestion.
 func TestSearchEquivalenceBandwidthModels(t *testing.T) {
 	rng := lcg(0xfeedface)
 	for _, bw := range []arch.BandwidthClass{arch.BWDouble, arch.BWBus, arch.BWNarrowRF} {
@@ -163,7 +164,6 @@ func TestSearchEquivalenceBandwidthModels(t *testing.T) {
 		const ii = 8
 		g := mrrg.New(f, ii)
 		old := NewSession(g)
-		old.Legacy = true
 		new_ := NewSession(g)
 		if got, want := new_.CostModel().Name(), "bandwidth"; got != want {
 			t.Fatalf("%s: installed model %q, want %q", bw, got, want)
@@ -196,7 +196,7 @@ func TestSearchEquivalenceBandwidthModels(t *testing.T) {
 			for sink := 0; sink < 2; sink++ {
 				dt := 1 + rng.next(6)
 				targets := g.OperandTargets(src.T+dt, rng.next(f.Rows), rng.next(f.Cols))
-				op, oc, oerr := old.RouteSink(oldNet, targets)
+				op, oc, oerr := refSearch(old, oldNet, targets)
 				np, nc, nerr := new_.RouteSink(newNet, targets)
 				if (oerr == nil) != (nerr == nil) {
 					t.Fatalf("%s trial %d sink %d: Dijkstra err %v, A* err %v", bw, trial, sink, oerr, nerr)

@@ -10,9 +10,10 @@
 // mrrg.Graph.DenseKey. Search is pruned at the latest target cycle — the
 // resource edges are time-monotone, so no useful path extends past it.
 //
-// The default search core is A* over a Dial-style bucket queue; the
-// pre-A* binary-heap Dijkstra is kept behind Session.Legacy and the two
-// are bit-identical (see DESIGN.md "Router" for the argument):
+// The search core is A* over a Dial-style bucket queue. It returns
+// exactly the path, cost, and error a plain Dijkstra over one global
+// (cost, RealKey) binary heap returns — the tests keep such a Dijkstra
+// as their reference (see DESIGN.md "Router" for the argument):
 //
 //   - The heuristic is admissible and consistent: per target, 0.7 × the
 //     topology hop distance (arch.Fabric.HopDist — Manhattan, wrapped
@@ -24,7 +25,7 @@
 //     f = g+h quantizes exactly into a deci-cost bucket; buckets pop in
 //     Dial order and each bucket is a small binary heap ordered by the
 //     exact (float cost, RealKey) pair — the global pop order is exactly
-//     the historical (cost, key) order of the old global heap.
+//     the (cost, key) order of one global heap.
 //   - Tie-breaking is order-independent: on an exactly equal tentative
 //     cost the predecessor with the smaller RealKey wins the parent slot,
 //     and when the first target pops, its whole bucket is drained before
@@ -100,10 +101,7 @@ func (n *Net) NodeList() []mrrg.Node { return n.list }
 
 // Session tracks resource occupancy and history costs across the nets of
 // one mapping attempt. A Session (and its scratch storage) may be reused
-// across many routing rounds; it is not safe for concurrent use — except
-// that RouteSinkIn calls on nets with provably disjoint occupancy
-// footprints may run concurrently, each with its own Scratch (see
-// RouteSinkIn).
+// across many routing rounds; it is not safe for concurrent use.
 type Session struct {
 	G *mrrg.Graph
 
@@ -116,11 +114,6 @@ type Session struct {
 	// large-fabric searches are not cut off spuriously while small-fabric
 	// searches fail fast; overriding the field still works.
 	MaxVisits int
-
-	// Legacy selects the pre-A* global binary-heap Dijkstra core. It is
-	// kept for the router-equivalence differential tests: both cores
-	// produce bit-identical paths, costs, and mappings.
-	Legacy bool
 
 	// Envelope, when non-nil, confines the search to PEs inside the
 	// rectangle. HiMap's canonical routing uses it to keep paths inside
@@ -161,7 +154,7 @@ type Session struct {
 	// index+tdelta occupancy-key fast path is valid only when set.
 	linearKeys bool
 
-	sc Scratch
+	sc scratch
 }
 
 // Rect is an inclusive rectangle of PE coordinates.
@@ -303,10 +296,10 @@ func (s *Session) Occ(n mrrg.Node) int { return int(s.occ[s.G.DenseKey(n)]) }
 //himap:noalloc
 func (s *Session) Hist(n mrrg.Node) float64 { return s.hist[s.G.DenseKey(n)] }
 
-// heapItem is one frontier entry: the accumulated cost (g for the legacy
-// core, f = g+h for A*), the node's RealKey (the deterministic tie-break
-// — kept identical to the historical container/heap ordering so mappings
-// are bit-stable across releases), and the node's dense scratch index.
+// heapItem is one frontier entry: the priority f = g+h, the node's
+// RealKey (the deterministic tie-break — kept identical to the historical
+// container/heap ordering so mappings are bit-stable across releases),
+// and the node's dense scratch index.
 type heapItem struct {
 	cost float64
 	key  uint64
@@ -322,9 +315,8 @@ func itemLess(a, b heapItem) bool {
 }
 
 // minHeap is a hand-rolled binary min-heap of value items — no
-// interface{} boxing, no per-push allocation once warmed up. The legacy
-// core uses one global heap; the A* bucket queue uses one small heap per
-// deci-cost bucket.
+// interface{} boxing, no per-push allocation once warmed up. The bucket
+// queue keeps one small heap per deci-cost bucket.
 type minHeap []heapItem
 
 //himap:noalloc
@@ -456,19 +448,18 @@ func (q *bucketQueue) pop() heapItem {
 	return it
 }
 
-// Scratch is one search working set: flat arrays over the dense real-
-// node index space of one search, invalidated between searches by a
-// generation stamp (an entry is live only when its stamp equals the
-// current generation). The arrays grow monotonically and are never
-// cleared, so steady-state searches allocate nothing. The zero value is
-// ready to use. RouteSink uses the Session's own Scratch; concurrent
-// RouteSinkIn callers supply one Scratch per goroutine.
-type Scratch struct {
+// scratch is the Session's search working set: flat arrays over the
+// dense real-node index space of one search, invalidated between
+// searches by a generation stamp (an entry is live only when its stamp
+// equals the current generation). The arrays grow monotonically and are
+// never cleared, so steady-state searches allocate nothing. The zero
+// value is ready to use.
+type scratch struct {
 	gen    uint32
 	seen   []uint32  // dist/hval/parent valid when seen[i] == gen
 	dist   []float64 // tentative cost g
-	hval   []float64 // cached heuristic h (A* core)
-	key    []uint64  // cached RealKey of node i (A* core)
+	hval   []float64 // cached heuristic h
+	key    []uint64  // cached RealKey of node i
 	parent []int32   // dense index of the predecessor; -1 for seeds
 	closed []uint32  // node finalized when closed[i] == gen
 	tgt    []uint32  // node is a search target when tgt[i] == gen
@@ -478,7 +469,6 @@ type Scratch struct {
 	// window is narrower than the array (0 for full-width windows).
 	rowSkew int
 	hits    []int32 // targets popped while draining the goal bucket
-	heap    minHeap // legacy core frontier
 	bq      bucketQueue
 
 	// The heuristic depends only on a node's (cycle, PE) and whether its
@@ -514,7 +504,7 @@ func (w window) pe(n mrrg.Node) int {
 
 // begin opens a new search generation over n dense indices (npe of them
 // per slot — the (cycle, PE) space the heuristic cache is keyed by).
-func (sc *Scratch) begin(n, npe int) {
+func (sc *scratch) begin(n, npe int) {
 	if len(sc.seen) < n {
 		// Grow geometrically: search windows vary net to net, and
 		// doubling caps the reallocation count at log of the largest
@@ -550,7 +540,6 @@ func (sc *Scratch) begin(n, npe int) {
 		clear(sc.hseen)
 		sc.gen = 1
 	}
-	sc.heap = sc.heap[:0]
 	sc.hits = sc.hits[:0]
 	sc.bq.reset()
 }
@@ -627,7 +616,7 @@ func (s *Session) nodeAt(i int32, w window) mrrg.Node {
 // and the Out-credit lanes fill from one target scan).
 //
 //himap:noalloc
-func (s *Session) heuristicAt(sc *Scratch, n mrrg.Node, pi int, targets []mrrg.Node) float64 {
+func (s *Session) heuristicAt(sc *scratch, n mrrg.Node, pi int, targets []mrrg.Node) float64 {
 	if sc.hseen[pi] != sc.gen {
 		sc.hseen[pi] = sc.gen
 		h0, h1 := -1.0, -1.0
@@ -668,7 +657,7 @@ func (s *Session) heuristicAt(sc *Scratch, n mrrg.Node, pi int, targets []mrrg.N
 // maxT the latest target (nothing after it is useful). In space it
 // covers every node the search can index: the seeds and the targets,
 // plus the nodes relaxed from popped nodes, which lie inside the
-// Envelope when one is set. The A* core pops only nodes that can still
+// Envelope when one is set. The search pops only nodes that can still
 // reach a target in time, and each link crossing takes a cycle moving at
 // most one row and one column, so on a non-wrapping fabric everything it
 // relaxes also lies within span+1 rows and columns of a target. Ties
@@ -692,7 +681,7 @@ func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
 	if env := s.Envelope; env != nil {
 		r0, r1, c0, c1 = max(r0, env.R0), min(r1, env.R1), max(c0, env.C0), min(c1, env.C1)
 	}
-	if !s.Legacy && !s.G.Fab.Topology.Wraps() {
+	if !s.G.Fab.Topology.Wraps() {
 		reach := w.maxT - w.tBase + 1
 		r0, r1 = max(r0, tr0-reach), min(r1, tr1+reach)
 		c0, c1 = max(c0, tc0-reach), min(c1, tc1+reach)
@@ -722,22 +711,13 @@ func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
 // arrays: per call it allocates only the returned Path (plus one-time
 // scratch growth when a search spans more cycles than any before it).
 func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error) {
-	return s.RouteSinkIn(&s.sc, net, targets)
-}
-
-// RouteSinkIn is RouteSink with an explicit search Scratch. Nets whose
-// occupancy footprints are provably disjoint (their search windows cover
-// disjoint cycle sets modulo II within the same spatial envelope) may be
-// routed concurrently on one Session, each call with its own Scratch:
-// such searches read and write disjoint occupancy entries, so results
-// are bit-identical to routing the nets sequentially in any order.
-func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path, float64, error) {
 	if len(targets) == 0 {
 		return nil, 0, fmt.Errorf("route: %w: no targets", ErrNoPath)
 	}
 	w := s.searchWindow(net, targets)
 	tBase, maxT := w.tBase, w.maxT
 
+	sc := &s.sc
 	sc.begin(w.numPEs()*w.slots, w.numPEs())
 	gen := sc.gen
 	idxOf := func(n mrrg.Node) int32 {
@@ -747,20 +727,17 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 	for _, t := range targets {
 		sc.tgt[idxOf(t)] = gen
 	}
-	astar := !s.Legacy
-	if astar {
-		// Dense-key precomputation: DenseKey(node) = search index +
-		// tdelta[node.T - tBase] + node.R × rowSkew, because within one
-		// window row the search index and the dense occupancy key share
-		// the (pe, slot) layout; rows only differ in their widths.
-		sc.tdelta = sc.tdelta[:0]
-		stride := w.rows * w.cols * w.slots
-		origin := (w.r0*w.cols + w.c0) * w.slots
-		for tr := 0; tr <= maxT-tBase; tr++ {
-			sc.tdelta = append(sc.tdelta, s.G.TimeBase(tBase+tr)-tr*stride+origin)
-		}
-		sc.rowSkew = (s.G.Fab.Cols - w.cols) * w.slots
+	// Dense-key precomputation: DenseKey(node) = search index +
+	// tdelta[node.T - tBase] + node.R × rowSkew, because within one
+	// window row the search index and the dense occupancy key share the
+	// (pe, slot) layout; rows only differ in their widths.
+	sc.tdelta = sc.tdelta[:0]
+	stride := w.rows * w.cols * w.slots
+	origin := (w.r0*w.cols + w.c0) * w.slots
+	for tr := 0; tr <= maxT-tBase; tr++ {
+		sc.tdelta = append(sc.tdelta, s.G.TimeBase(tBase+tr)-tr*stride+origin)
 	}
+	sc.rowSkew = (s.G.Fab.Cols - w.cols) * w.slots
 	seed := func(n mrrg.Node) {
 		if n.T > maxT {
 			return
@@ -770,17 +747,13 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 		sc.seen[i] = gen
 		sc.dist[i] = 0
 		sc.parent[i] = -1
-		if astar {
-			h := s.heuristicAt(sc, n, w.pe(n), targets)
-			if h < 0 {
-				return // no target reachable from this seed in time
-			}
-			sc.hval[i] = h
-			sc.key[i] = mrrg.RealKey(n)
-			sc.bq.push(heapItem{cost: h, key: sc.key[i], idx: i})
-			return
+		h := s.heuristicAt(sc, n, w.pe(n), targets)
+		if h < 0 {
+			return // no target reachable from this seed in time
 		}
-		sc.heap.push(heapItem{cost: 0, key: mrrg.RealKey(n), idx: i})
+		sc.hval[i] = h
+		sc.key[i] = mrrg.RealKey(n)
+		sc.bq.push(heapItem{cost: h, key: sc.key[i], idx: i})
 	}
 	seed(net.Src)
 	for _, p := range net.Paths {
@@ -789,14 +762,7 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 		}
 	}
 
-	var goal int32
-	var cost float64
-	var err error
-	if astar {
-		goal, cost, err = s.searchAStar(sc, net, targets, w)
-	} else {
-		goal, cost, err = s.searchDijkstra(sc, net, targets, w)
-	}
+	goal, cost, err := s.searchAStar(sc, net, targets, w)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -822,63 +788,14 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 	return path, cost, nil
 }
 
-// searchDijkstra is the legacy core: a plain Dijkstra over one global
-// binary heap, returning at the first target popped. Kept bit-identical
-// to the historical router for the differential equivalence tests.
-func (s *Session) searchDijkstra(sc *Scratch, net *Net, targets []mrrg.Node, w window) (int32, float64, error) {
-	gen := sc.gen
-	env := s.Envelope
-	visits := 0
-	for len(sc.heap) > 0 {
-		it := sc.heap.pop()
-		if sc.closed[it.idx] == gen {
-			continue
-		}
-		sc.closed[it.idx] = gen
-		visits++
-		if visits > s.MaxVisits {
-			return 0, 0, fmt.Errorf("route: %w (limit %d)", ErrSearchLimit, s.MaxVisits)
-		}
-		if sc.tgt[it.idx] == gen {
-			return it.idx, it.cost, nil
-		}
-		cur := s.nodeAt(it.idx, w)
-		base := it.cost
-		parent := it.idx
-		s.G.Succ(cur, func(m mrrg.Node) {
-			if m.T > w.maxT {
-				return
-			}
-			if env != nil && !env.Contains(m.R, m.C) {
-				return
-			}
-			mi := int32(w.pe(m)*w.slots + s.G.SlotIndex(m.Class, m.Idx))
-			if sc.closed[mi] == gen {
-				return
-			}
-			nd := base
-			if sc.owned[mi] != gen {
-				nd += s.enterCost(m)
-			}
-			if sc.seen[mi] != gen || nd < sc.dist[mi] {
-				sc.seen[mi] = gen
-				sc.dist[mi] = nd
-				sc.parent[mi] = parent
-				sc.heap.push(heapItem{cost: nd, key: mrrg.RealKey(m), idx: mi})
-			}
-		})
-	}
-	return 0, 0, fmt.Errorf("route: %w from net %d (src %v) to %v", ErrNoPath, net.ID, net.Src, targets[0])
-}
-
-// searchAStar is the default core: A* over the Dial bucket queue. Pops
+// searchAStar is the search core: A* over the Dial bucket queue. Pops
 // follow the exact (f, RealKey) order; parent slots are claimed by the
 // order-independent rule "equal tentative cost → smaller predecessor
 // RealKey wins"; when the first target pops, the rest of its deci bucket
 // is drained (same-cost parent claims and same-cost targets all live
 // there) and the (cost, RealKey)-minimal hit is committed — the same
-// target, path, and cost the legacy core returns.
-func (s *Session) searchAStar(sc *Scratch, net *Net, targets []mrrg.Node, w window) (int32, float64, error) {
+// target, path, and cost a first-target-popped Dijkstra returns.
+func (s *Session) searchAStar(sc *scratch, net *Net, targets []mrrg.Node, w window) (int32, float64, error) {
 	gen := sc.gen
 	env := s.Envelope
 	visits := 0
@@ -1020,17 +937,6 @@ func (s *Session) Release(net *Net) {
 	net.keys = net.keys[:0]
 	net.list = net.list[:0]
 	net.Paths = nil
-}
-
-// Recharge re-applies a previously routed net's occupancy charges after
-// ResetKeepHistory — how incremental re-route keeps a congestion-free
-// net across negotiated-congestion rounds instead of re-searching it.
-//
-//himap:noalloc
-func (s *Session) Recharge(net *Net) {
-	for _, n := range net.list {
-		s.occ[s.G.DenseKey(n)]++
-	}
 }
 
 // ChargeShifted charges a translated copy of the net's resources to the

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Repository health gate: formatting, vet, the project analyzer suite
-# (cmd/himaplint), build, and the full test suite under the race
-# detector. Run before sending changes; cmd/experiments and the
+# Repository health gate: formatting, vet (the root module and the
+# nested perfbench module), the project analyzer suite (cmd/himaplint),
+# build, and the full test suite under the race detector. Run before sending changes; cmd/experiments and the
 # benchmarks (go test -bench . -benchmem) cover the perf side.
 set -eux
 cd "$(dirname "$0")/.."
@@ -12,6 +12,9 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
+# `go vet ./...` stops at the nested perfbench module, which uses sync:
+# vet it too so copylocks covers every tree himaplint lints.
+go -C perfbench vet ./...
 go build ./...
 # Analyzer suite under the debt ratchet: fails on findings not recorded
 # in the baseline AND on stale baseline entries or stale //lint:ignore
